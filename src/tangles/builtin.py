@@ -26,11 +26,3 @@ def load(name: str) -> SchemaGraph:
     if name not in _cache:
         _cache[name] = parse_schema(schema_text(name))
     return _cache[name]
-
-
-def load_input(path_or_builtin: str) -> SchemaGraph:
-    """Load a schema from a file path or a ``builtin:<name>`` reference."""
-    if path_or_builtin.startswith("builtin:"):
-        return load(path_or_builtin.split(":", 1)[1])
-    with open(path_or_builtin) as fh:
-        return parse_schema(fh.read())

@@ -150,12 +150,6 @@ class ComponentSet:
             parts.append(ins)
         return ComponentSelection(self, tuple(flags), tuple(parts))
 
-    def text_key(self) -> str:
-        return ";".join(
-            [c.vertices.text() for c in self.concretes]
-            + [f"{c.family}:{c.indices.text()}" for c in self.classes]
-        )
-
 
 @dataclass(frozen=True)
 class ComponentSelection:

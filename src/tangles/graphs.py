@@ -106,35 +106,39 @@ class FiniteGraph:
         return f"FiniteGraph({len(self.vertices)}v,{len(self.edges)}e)"
 
 
+def read_graph_line(line: str, vertices: set[str], edges: set[tuple[str, str]], ln: int) -> None:
+    """Add one ``v <id>`` or ``e <id> <id>`` line to ``vertices``/``edges``."""
+    parts = line.split()
+    if parts[0] == "v":
+        if len(parts) != 2:
+            raise GraphParseError("malformed vertex line", ln)
+        if parts[1] in vertices:
+            raise GraphParseError(f"duplicate vertex {parts[1]!r}", ln)
+        vertices.add(parts[1])
+    elif parts[0] == "e":
+        if len(parts) != 3:
+            raise GraphParseError("malformed edge line", ln)
+        u, v = parts[1], parts[2]
+        if u == v:
+            raise GraphParseError(f"loop at {u!r}", ln)
+        for x in (u, v):
+            if x not in vertices:
+                raise GraphParseError(f"undeclared endpoint {x!r}", ln)
+        e = _edge(u, v)
+        if e in edges:
+            raise GraphParseError(f"duplicate edge {u!r} {v!r}", ln)
+        edges.add(e)
+    else:
+        raise GraphParseError(f"malformed line {line!r}", ln)
+
+
 def parse_finite(text: str) -> FiniteGraph:
-    vertices: dict[str, int] = {}
-    edges: dict[tuple[str, str], int] = {}
+    vertices: set[str] = set()
+    edges: set[tuple[str, str]] = set()
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "v":
-            if len(parts) != 2:
-                raise GraphParseError("malformed vertex line", ln)
-            if parts[1] in vertices:
-                raise GraphParseError(f"duplicate vertex {parts[1]!r}", ln)
-            vertices[parts[1]] = ln
-        elif parts[0] == "e":
-            if len(parts) != 3:
-                raise GraphParseError("malformed edge line", ln)
-            u, v = parts[1], parts[2]
-            if u == v:
-                raise GraphParseError(f"loop at {u!r}", ln)
-            for x in (u, v):
-                if x not in vertices:
-                    raise GraphParseError(f"undeclared endpoint {x!r}", ln)
-            e = _edge(u, v)
-            if e in edges:
-                raise GraphParseError(f"duplicate edge {u!r} {v!r}", ln)
-            edges[e] = ln
-        else:
-            raise GraphParseError(f"malformed line {line!r}", ln)
+        if line:
+            read_graph_line(line, vertices, edges, ln)
     return FiniteGraph(frozenset(vertices), frozenset(edges))
 
 

@@ -14,10 +14,6 @@ from .semilinear import SemilinearSet
 from .separations import OrientedSeparation, from_bipartition
 
 
-def rng_from_seed(seed: int | None) -> random.Random:
-    return random.Random(0 if seed is None else seed)
-
-
 def random_semilinear(rng: random.Random, within: SemilinearSet) -> SemilinearSet:
     """A random semilinear subset of ``within``."""
     kind = rng.randrange(6)

@@ -25,10 +25,11 @@ position for ray families.  Schemas must present connected graphs.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .graphs import FiniteGraph, GraphParseError
+from .graphs import FiniteGraph, GraphParseError, read_graph_line
 
 Vertex = tuple
 
@@ -85,18 +86,18 @@ class SchemaGraph:
         self._source = source
         self._component_cache: dict[frozenset, object] = {}
         self._truncation_cache: dict[int, FiniteGraph] = {}
+        self._rays = {r.name: r for r in self.rays}
+        self._families = {f.name: f for f in self.families}
+        self._cliques = {c.name: c for c in self.cliques}
         self._validate()
 
     # -- validation --------------------------------------------------------
 
     def _validate(self):
-        names = [r.name for r in self.rays] + [f.name for f in self.families] + [
-            c.name for c in self.cliques
-        ]
-        dupes = {n for n in names if names.count(n) > 1}
+        counts = Counter(p.name for p in (*self.rays, *self.families, *self.cliques))
+        dupes = [n for n, k in counts.items() if k > 1]
         if dupes:
             raise SchemaError(f"duplicate part name(s): {sorted(dupes)}")
-        ray_names = {r.name for r in self.rays}
         for r in self.rays:
             if r.hub is not None and r.hub not in self.core.vertices:
                 raise SchemaError(f"ray {r.name}: unknown core vertex {r.hub!r}")
@@ -111,12 +112,12 @@ class SchemaGraph:
                     raise SchemaError(f"family {f.name}: unknown core vertex {c!r}")
                 self._check_pattern_vertex(f, pv)
             for rn, pv in f.ray_attach:
-                if rn not in ray_names:
+                if rn not in self._rays:
                     raise SchemaError(f"family {f.name}: unknown ray {rn!r}")
                 self._check_pattern_vertex(f, pv)
             if f.is_ray_family and f.ray_attach:
                 raise SchemaError(f"ray family {f.name}: attachments must be to core vertices")
-            if not f.core_attach and not f.ray_attach and (self.core.vertices or len(self.families) + len(self.rays) + len(self.cliques) > 1):
+            if not f.core_attach and not f.ray_attach:
                 raise SchemaError(f"family {f.name}: unattached family disconnects the graph")
         for c in self.cliques:
             for cv in c.attach:
@@ -132,51 +133,21 @@ class SchemaGraph:
             raise SchemaError(f"family {f.name}: unknown pattern vertex {pv!r}")
 
     def _check_connected(self):
-        # Quotient connectivity: one node per part, hub edges as declared.
-        # Family copies along a ray touch it, so they join its node.
-        nodes = set()
-        edges = set()
-        for v in self.core.vertices:
-            nodes.add(("core", v))
-        for u, v in self.core.edges:
-            edges.add(frozenset({("core", u), ("core", v)}))
-        for r in self.rays:
-            nodes.add(("ray", r.name))
-            if r.hub is not None:
-                edges.add(frozenset({("core", r.hub), ("ray", r.name)}))
+        # Quotient graph: one node per core vertex and per part, hub edges as
+        # declared.  Family copies along a ray touch it, so they join its node.
+        nodes = [f"core:{v}" for v in self.core.vertices]
+        nodes += [f"part:{name}" for name in (*self._rays, *self._families, *self._cliques)]
+        edges = [(f"core:{u}", f"core:{v}") for u, v in self.core.edges]
+        edges += [(f"core:{r.hub}", f"part:{r.name}") for r in self.rays if r.hub is not None]
         for f in self.families:
-            nodes.add(("fam", f.name))
-            for c, _ in f.core_attach:
-                edges.add(frozenset({("core", c), ("fam", f.name)}))
-            for rn, _ in f.ray_attach:
-                edges.add(frozenset({("ray", rn), ("fam", f.name)}))
+            edges += [(f"core:{c}", f"part:{f.name}") for c, _ in f.core_attach]
+            edges += [(f"part:{rn}", f"part:{f.name}") for rn, _ in f.ray_attach]
         for c in self.cliques:
-            nodes.add(("cliq", c.name))
-            for cv in c.attach:
-                edges.add(frozenset({("core", cv), ("cliq", c.name)}))
+            edges += [(f"core:{cv}", f"part:{c.name}") for cv in c.attach]
         if not nodes:
             raise SchemaError("empty schema")
-        adj = {n: set() for n in nodes}
-        for e in edges:
-            u, v = tuple(e)
-            adj[u].add(v)
-            adj[v].add(u)
-        start = next(iter(sorted(nodes)))
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != len(nodes):
+        if not FiniteGraph(frozenset(nodes), frozenset(edges)).is_connected():
             raise SchemaError("schema is not connected")
-        # rays and families that no untouched copy could reach are caught above;
-        # a free-standing family of disjoint copies is disconnected by definition
-        for f in self.families:
-            if not f.core_attach and not f.ray_attach:
-                raise SchemaError(f"family {f.name}: disjoint copies form a disconnected graph")
 
     # -- basic structure -----------------------------------------------------
 
@@ -189,22 +160,13 @@ class SchemaGraph:
         return bool(self.rays or self.families or self.cliques)
 
     def ray_spec(self, name: str) -> RaySpec:
-        for r in self.rays:
-            if r.name == name:
-                return r
-        raise KeyError(name)
+        return self._rays[name]
 
     def family_spec(self, name: str) -> FamilySpec:
-        for f in self.families:
-            if f.name == name:
-                return f
-        raise KeyError(name)
+        return self._families[name]
 
     def clique_spec(self, name: str) -> CliqueSpec:
-        for c in self.cliques:
-            if c.name == name:
-                return c
-        raise KeyError(name)
+        return self._cliques[name]
 
     def aligned_rays(self, fam: FamilySpec) -> list[str]:
         return sorted({rn for rn, _ in fam.ray_attach})
@@ -214,26 +176,16 @@ class SchemaGraph:
             case ("core", x):
                 return x in self.core.vertices
             case ("ray", name, pos):
-                return (
-                    isinstance(pos, int)
-                    and pos >= 0
-                    and any(r.name == name for r in self.rays)
-                )
+                return isinstance(pos, int) and pos >= 0 and name in self._rays
             case ("fam", name, copy, pv):
-                if not (isinstance(copy, int) and copy >= 0):
+                f = self._families.get(name)
+                if f is None or not (isinstance(copy, int) and copy >= 0):
                     return False
-                for f in self.families:
-                    if f.name == name:
-                        if f.is_ray_family:
-                            return isinstance(pv, int) and pv >= 0
-                        return pv in f.pattern.vertices
-                return False
+                if f.is_ray_family:
+                    return isinstance(pv, int) and pv >= 0
+                return pv in f.pattern.vertices
             case ("cliq", name, idx):
-                return (
-                    isinstance(idx, int)
-                    and idx >= 0
-                    and any(c.name == name for c in self.cliques)
-                )
+                return isinstance(idx, int) and idx >= 0 and name in self._cliques
         return False
 
     def check_vertices(self, vs) -> frozenset:
@@ -372,7 +324,10 @@ class SchemaGraph:
                 )
                 attaches = [f"attach {c} {pv}" for c, pv in f.core_attach]
                 attaches += [f"attach along {rn} {pv}" for rn, pv in f.ray_attach]
-                lines.append(f"family {f.name} pattern {{ {pat} }} " + " ".join(attaches))
+                # a pattern vertex or ray named 'attach' would split a trailing
+                # clause, so such attachments go on lines of their own
+                sep = "\n" if any("attach" in a for a in f.core_attach + f.ray_attach) else " "
+                lines.append(f"family {f.name} pattern {{ {pat} }}{sep}" + sep.join(attaches))
         for c in self.cliques:
             lines.append(f"clique {c.name}" + (f" attach {' '.join(c.attach)}" if c.attach else ""))
         return "\n".join(lines) + "\n"
@@ -425,127 +380,79 @@ def parse_schema(text: str) -> SchemaGraph:
                                      ... attach along RAY PV [PV ...]
         clique NAME [attach COREVERTEX ...]
 
-    Pattern entries may be separated by newlines or ``;``.  ``attach``
-    clauses may trail the closing brace or stand on their own lines.
+    Pattern entries may be separated by newlines or ``;`` and follow the
+    same ``v``/``e`` rules as core lines.  Every ``attach`` clause starts
+    with the word ``attach``, whether it trails the closing brace or stands
+    on its own line after the block.
     """
-    core_v: dict[str, int] = {}
-    core_e: dict[tuple[str, str], int] = {}
+    core_v: set[str] = set()
+    core_e: set[tuple[str, str]] = set()
     rays: list[RaySpec] = []
     families: list[FamilySpec] = []
     cliques: list[CliqueSpec] = []
     section = None
-    pending_family: dict | None = None
+    block = None  # (name, vertices, edges) of the open pattern block
+    attachable = False  # whether an ``attach`` line extends families[-1]
 
     def err(msg: str, ln: int):
         raise GraphParseError(msg, ln)
 
-    def close_family(ln: int):
-        nonlocal pending_family
-        if pending_family is None:
-            return
-        pf = pending_family
-        pending_family = None
-        if pf["open"]:
-            err(f"family {pf['name']}: unterminated pattern block", ln)
-        pverts: dict[str, int] = {}
-        pedges: set[tuple[str, str]] = set()
-        for entry in pf["entries"]:
-            parts = entry.split()
-            if parts[:1] == ["v"] and len(parts) == 2:
-                if parts[1] in pverts:
-                    err(f"family {pf['name']}: duplicate pattern vertex {parts[1]!r}", pf["line"])
-                pverts[parts[1]] = 1
-            elif parts[:1] == ["e"] and len(parts) == 3:
-                if parts[1] == parts[2]:
-                    err(f"family {pf['name']}: loop in pattern", pf["line"])
-                for x in parts[1:]:
-                    if x not in pverts:
-                        err(f"family {pf['name']}: undeclared pattern vertex {x!r}", pf["line"])
-                pedges.add(tuple(sorted(parts[1:])))
-            elif parts:
-                err(f"family {pf['name']}: bad pattern entry {entry!r}", pf["line"])
-        if not pverts:
-            err(f"family {pf['name']}: empty pattern", pf["line"])
-        if not pf["core_attach"] and not pf["ray_attach"]:
-            err(f"family {pf['name']}: missing attach clause", pf["line"])
-        families.append(
-            FamilySpec(
-                pf["name"],
-                FiniteGraph(frozenset(pverts), frozenset(pedges)),
-                tuple(pf["core_attach"]),
-                tuple(pf["ray_attach"]),
-            )
-        )
-
-    def parse_attach(tokens: list[str], ln: int, pf: dict):
-        # tokens after 'attach'
+    def attach(tokens: list[str], ln: int):
+        # tokens after 'attach'; extends the last family
+        f = families[-1]
         if not tokens:
             err("empty attach clause", ln)
         if tokens[0] == "along":
             if len(tokens) < 3:
                 err("attach along needs a ray and pattern vertices", ln)
-            for pv in tokens[2:]:
-                pf["ray_attach"].append((tokens[1], pv))
+            f = replace(f, ray_attach=f.ray_attach + tuple((tokens[1], pv) for pv in tokens[2:]))
         else:
             if len(tokens) < 2:
                 err("attach needs a core vertex and pattern vertices", ln)
-            for pv in tokens[1:]:
-                pf["core_attach"].append((tokens[0], pv))
+            f = replace(f, core_attach=f.core_attach + tuple((tokens[0], pv) for pv in tokens[1:]))
+        families[-1] = f
+
+    def read_block(body: str, ln: int):
+        # pattern entries up to '}', then the trailing attach clauses
+        nonlocal block
+        name, verts, edges = block
+        entries, closed, rest = body.partition("}")
+        for entry in map(str.strip, entries.split(";")):
+            if entry:
+                read_graph_line(entry, verts, edges, ln)
+        if not closed:
+            return
+        block = None
+        families.append(FamilySpec(name, FiniteGraph(frozenset(verts), frozenset(edges)), (), ()))
+        stray, *clauses = f" {rest.strip()}".split(" attach ")
+        if stray.strip():
+            err("unexpected text after pattern block", ln)
+        for clause in clauses:
+            attach(clause.split(), ln)
 
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if pending_family is not None and pending_family["open"]:
-            # inside a pattern block
-            if "}" in line:
-                before, after = line.split("}", 1)
-                pending_family["entries"] += [s.strip() for s in before.split(";") if s.strip()]
-                pending_family["open"] = False
-                rest = after.strip()
-                if rest:
-                    for clause in rest.split(" attach "):
-                        clause = clause.strip()
-                        if clause.startswith("attach "):
-                            clause = clause[len("attach "):]
-                        if clause:
-                            parse_attach(clause.split(), ln, pending_family)
-            else:
-                pending_family["entries"] += [s.strip() for s in line.split(";") if s.strip()]
+        if block is not None:
+            read_block(line, ln)
             continue
         tokens = line.split()
         head = tokens[0]
-        if pending_family is not None and head == "attach":
-            parse_attach(tokens[1:], ln, pending_family)
+        if attachable and head == "attach":
+            attach(tokens[1:], ln)
             continue
-        close_family(ln)
+        attachable = False
         if line == "core:":
             section = "core"
         elif line == "edge:":
             section = "edge"
-        elif head == "v":
-            if section != "core":
-                err("vertex line outside core section", ln)
-            if len(tokens) != 2:
-                err("malformed vertex line", ln)
-            if tokens[1] in core_v:
-                err(f"duplicate vertex {tokens[1]!r}", ln)
-            core_v[tokens[1]] = ln
-        elif head == "e":
-            if section not in ("core", "edge"):
-                err("edge line outside core/edge section", ln)
-            if len(tokens) != 3:
-                err("malformed edge line", ln)
-            u, v = tokens[1], tokens[2]
-            if u == v:
-                err(f"loop at {u!r}", ln)
-            for x in (u, v):
-                if x not in core_v:
-                    err(f"undeclared endpoint {x!r}", ln)
-            e = (u, v) if u <= v else (v, u)
-            if e in core_e:
-                err(f"duplicate edge {u!r} {v!r}", ln)
-            core_e[e] = ln
+        elif head == "v" and section != "core":
+            err("vertex line outside core section", ln)
+        elif head == "e" and section not in ("core", "edge"):
+            err("edge line outside core/edge section", ln)
+        elif head in ("v", "e"):
+            read_graph_line(line, core_v, core_e, ln)
         elif head == "ray":
             if len(tokens) == 2:
                 rays.append(RaySpec(tokens[1], None))
@@ -565,27 +472,8 @@ def parse_schema(text: str) -> SchemaGraph:
         elif head == "family":
             if len(tokens) < 3 or tokens[2] != "pattern" or "{" not in line:
                 err("malformed family line", ln)
-            body = line.split("{", 1)[1]
-            pending_family = {
-                "name": tokens[1],
-                "entries": [],
-                "core_attach": [],
-                "ray_attach": [],
-                "open": True,
-                "line": ln,
-            }
-            if "}" in body:
-                before, after = body.split("}", 1)
-                pending_family["entries"] += [s.strip() for s in before.split(";") if s.strip()]
-                pending_family["open"] = False
-                rest = after.strip()
-                if rest:
-                    if not rest.startswith("attach"):
-                        err("unexpected text after pattern block", ln)
-                    for clause in ("  " + rest).split(" attach ")[1:]:
-                        parse_attach(clause.split(), ln, pending_family)
-            else:
-                pending_family["entries"] += [s.strip() for s in body.split(";") if s.strip()]
+            block, attachable = (tokens[1], set(), set()), True
+            read_block(line.split("{", 1)[1], ln)
         elif head == "clique":
             if len(tokens) == 2:
                 cliques.append(CliqueSpec(tokens[1], ()))
@@ -595,7 +483,8 @@ def parse_schema(text: str) -> SchemaGraph:
                 err("malformed clique line", ln)
         else:
             err(f"malformed line {line!r}", ln)
-    close_family(len(text.splitlines()))
+    if block is not None:
+        err(f"family {block[0]}: unterminated pattern block", len(text.splitlines()))
     core = FiniteGraph(frozenset(core_v), frozenset(core_e))
     try:
         return SchemaGraph(core, rays, families, cliques, source=text)

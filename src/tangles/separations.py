@@ -131,13 +131,6 @@ def from_vertex_sides(
     return OrientedSeparation(schema, X, toB)
 
 
-def separation_of_finite(schema: SchemaGraph, A, B) -> OrientedSeparation:
-    """Convenience for explicit vertex collections."""
-    return from_vertex_sides(
-        schema, SymVertexSet.of(schema, A), SymVertexSet.of(schema, B)
-    )
-
-
 # -- stars and consistency ----------------------------------------------------
 
 

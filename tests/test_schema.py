@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tangles.builtin import load, schema_text
 from tangles.graphs import GraphParseError
@@ -125,3 +127,90 @@ def test_to_text_reparses(schemas):
 def test_schema_text_matches_bundled_files():
     assert "rayfam L at c" in schema_text("spider")
     assert load("spider").digest() == parse_schema(schema_text("spider")).digest()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "core:\nv c\nfamily F pattern {\n v p\n} c p\n",
+        "core:\nv c\nfamily F pattern { v p } c p\n",
+        "core:\nv c\nfamily F pattern { v p } attachx c p\nattach c p\n",
+    ],
+)
+def test_text_after_pattern_block_must_be_attach_clause(text):
+    with pytest.raises(GraphParseError, match="unexpected text after pattern block"):
+        parse_schema(text)
+
+
+def test_attach_splits_on_whole_word():
+    for text in (
+        "core:\nv c\nfamily F pattern { v xattach } attach c xattach\n",
+        "core:\nv c\nfamily F pattern {\nv xattach\n} attach c xattach\n",
+    ):
+        assert parse_schema(text).families[0].core_attach == (("c", "xattach"),)
+
+
+@pytest.mark.parametrize(
+    "text,line,msg",
+    [
+        ("core:\nv c\nfamily F pattern {\n v p\n e p p\n} attach c p\n", 5, "loop at 'p'"),
+        ("core:\nv c\nfamily F pattern { v p ; v p } attach c p\n", 3, "duplicate vertex 'p'"),
+        ("core:\nv c\nfamily F pattern {\n v p\n e p q\n} attach c p\n", 5, "undeclared endpoint 'q'"),
+        ("core:\nv c\nfamily F pattern {\n v p\n", 4, "family F: unterminated pattern block"),
+        ("ray R\nv c\n", 2, "vertex line outside core section"),
+        ("core:\nv c\nray R at\n", 3, "malformed ray line"),
+        ("core:\nv c\nrayfam L c\n", 3, "malformed rayfam line"),
+        ("core:\nv c\nclique K c\n", 3, "malformed clique line"),
+    ],
+)
+def test_parse_errors_name_the_line(text, line, msg):
+    with pytest.raises(GraphParseError, match=msg) as exc:
+        parse_schema(text)
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"line {line}: ")
+
+
+def test_pattern_vertex_named_attach_round_trips():
+    s = parse_schema(
+        "core:\nv c\nray R at c\n"
+        "family F pattern { v attach ; v q ; e attach q } attach along R q attach c attach\n"
+    )
+    assert s.families[0].core_attach == (("c", "attach"),)
+    assert parse_schema(s.to_text()).families == s.families
+
+
+# Every DSL token may also stand where a name goes.
+_KEYWORDS = ["core:", "edge:", "v", "e", "ray", "rayfam", "family", "pattern", "clique",
+             "at", "attach", "along", "{", "}", ";"]
+_WORDS = st.sampled_from(["c", "d", "p", "q", "R", "xattach"]) | st.sampled_from(_KEYWORDS)
+_TEMPLATES = [
+    "core:", "edge:", "v {0}", "e {0} {1}", "ray {0} at {1}", "rayfam {0} at {1}",
+    "clique {0} attach {1}", "attach {0} {1}", "attach along {0} {1}", "{0} {1} {2}",
+    "family {0} pattern {{ v {1} }} attach {2} {1}",
+    "family {0} pattern {{ v {1} ; v {2} ; e {1} {2} }} attach {3} {1} attach {3} {2}",
+    "family {0} pattern {{ v {1} ; v {2} ; e {1} {2} }} attach along R {2} attach {3} {1}",
+    "family {0} pattern {{", "}} attach {0} {1}", "}} {0} {1} {2}",
+]
+
+
+@st.composite
+def _schema_texts(draw):
+    lines = ["core:", "v c", "v d", "e c d", "ray R at c"] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(1, 4))):
+        template = draw(st.sampled_from(_TEMPLATES))
+        lines.append(template.format(*(draw(_WORDS) for _ in range(5))))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=500, deadline=None)
+@given(_schema_texts())
+def test_dsl_text_is_rejected_or_round_trips(text):
+    try:
+        s = parse_schema(text)
+    except GraphParseError:
+        return
+    again = parse_schema(s.to_text())
+    assert (again.core, again.rays, again.families, again.cliques) == (
+        s.core, s.rays, s.families, s.cliques
+    )
+    assert again.to_text() == s.to_text()
