@@ -17,7 +17,7 @@ import sys
 from . import builtin
 from .blocks import build_clique_subdivision, infinite_blocks, k_blocks, verify_subdivision
 from .components import components
-from .finite_tangles import ResourceGuardError, count_tangles, enumerate_tangles
+from .finite_tangles import count_tangles, enumerate_tangles
 from .graphs import GraphParseError, parse_finite
 from .infinite_tangles import (
     census,
@@ -31,6 +31,7 @@ from .infinite_tangles import (
     uf_tangle,
 )
 from .schema import SchemaGraph, parse_schema, parse_vertex, vertex_text
+from .semilinear import ResourceGuardError
 from .separations import parse_separation
 from .suite import run_suite
 from .topology import (
@@ -308,7 +309,7 @@ def _dispatch(args) -> int:
         K = [v.strip() for v in getattr(args, "set").split(",")]
         cert = build_clique_subdivision(g, K)
         ok = cert["ok"] and verify_subdivision(g, K, cert)
-        return _emit(args, {"input": digest, "branch_vertices": sorted(K)} | cert, ok=cert["ok"])
+        return _emit(args, {"input": digest, "branch_vertices": sorted(K)} | cert, ok=ok)
 
     if args.cmd == "observation":
         schema, digest = _load_schema(args.schema)

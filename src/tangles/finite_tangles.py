@@ -15,13 +15,11 @@ from itertools import combinations
 
 import numpy as np
 
+from .semilinear import ResourceGuardError
+
 DEFAULT_GUARD = 2**25
 
 OrientedPair = tuple[frozenset, frozenset]
-
-
-class ResourceGuardError(RuntimeError):
-    pass
 
 
 def _key(s: frozenset) -> tuple:

@@ -1,31 +1,80 @@
 """Eventually periodic subsets of the naturals with exact set algebra.
 
-A set is kept in a canonical form: a finite explicit part below a
-threshold, plus one arithmetic progression per occupied residue class of
-the minimal eventual period.  Canonicalisation makes structural equality
-decide set equality, and a set is finite exactly when its progression
-list is empty.  All decisions (membership, emptiness, finiteness,
-inclusion) therefore reduce to computations below a finite bound.
+A set of naturals that is eventually periodic is a unary regular
+language, so an ultimately periodic bit pattern is an exact normal form
+for it (Chrobak, "Finite automata and unary languages", TCS 1986).  A set
+is stored as four Python ints ``(t, d, low, cycle)``:
+
+* ``t`` is the least threshold from which membership is ``d``-periodic,
+* ``d`` is the least eventual period,
+* bit ``x`` of ``low`` says whether ``x < t`` is a member,
+* bit ``i`` of the ``d``-bit ``cycle`` says whether ``t + i`` is, and so
+  whether every ``t + i + k*d`` is.
+
+Both minima make the form canonical, so equality of the four ints decides
+set equality, and a set is finite exactly when its cycle is zero.  The
+boolean operations align their operands to a common threshold (the
+largest) and period (the lcm) by repeating each cycle, combine the masks
+with ``|``, ``&`` and ``& ~``, and minimise once.  Membership, counting and
+the smallest elements are bit reads and bit scans.
+
+The text form lists the members below ``t`` and one progression
+``a+dt`` per set bit of the cycle; :attr:`explicit` and
+:attr:`progressions` are the same data as Python collections, built on
+first use.
+
+An aligned pattern is ``T + D`` bits wide; past :data:`WIDTH_CAP` bits an
+operation raises :class:`ResourceGuardError` instead of allocating (the
+CLI maps that error to exit code 3).  Coprime periods multiply, so a few
+large ones are enough to reach it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, lru_cache
 from math import lcm
 
-# Guard against period blow-up through long op chains; never hit in practice
-# because canonicalisation keeps periods minimal.
-_PERIOD_CAP = 1_000_000
+# Widest aligned pattern (threshold + period, in bits) an operation builds.
+WIDTH_CAP = 1 << 20
 
 _PROG_RE = re.compile(r"^(\d+)\+(\d+)t$")
 
 
-def _divisors(n: int) -> list[int]:
+class ResourceGuardError(RuntimeError):
+    """A computation would exceed a fixed resource bound."""
+
+
+def _guard(width: int) -> None:
+    if width > WIDTH_CAP:
+        raise ResourceGuardError(f"index set pattern of {width} bits exceeds the cap of {WIDTH_CAP}")
+
+
+@lru_cache(maxsize=1024)
+def _divisors(n: int) -> tuple[int, ...]:
     small = [d for d in range(1, int(n**0.5) + 1) if n % d == 0]
     large = [n // d for d in reversed(small) if d * d != n]
-    return small + large
+    return tuple(small + large)
+
+
+def _repeat(cycle: int, d: int, n: int) -> int:
+    """The first ``n`` bits of the ``d``-periodic pattern starting with ``cycle``."""
+    while d < n:
+        cycle |= cycle << d
+        d <<= 1
+    return cycle & ((1 << n) - 1)
+
+
+def _ones(m: int) -> list[int]:
+    """The positions of the set bits of ``m``, ascending."""
+    s = bin(m)[:1:-1]
+    out = []
+    i = s.find("1")
+    while i >= 0:
+        out.append(i)
+        i = s.find("1", i + 1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -36,57 +85,65 @@ class SemilinearSet:
     convenience builders), which canonicalise.
     """
 
-    explicit: frozenset[int]
-    progressions: tuple[tuple[int, int], ...]  # (offset, period), period >= 1
+    t: int
+    d: int
+    low: int
+    cycle: int
 
     # -- construction ----------------------------------------------------
 
     @classmethod
     def make(cls, explicit=(), progressions=()) -> "SemilinearSet":
-        explicit = frozenset(int(x) for x in explicit)
-        progs = tuple((int(a), int(d)) for a, d in progressions)
+        explicit = [int(x) for x in explicit]
+        progs = [(int(a), int(d)) for a, d in progressions]
         if any(x < 0 for x in explicit):
             raise ValueError("negative element")
         if any(a < 0 or d < 1 for a, d in progs):
             raise ValueError("bad progression")
-
-        def pred(x: int) -> bool:
-            return x in explicit or any(x >= a and (x - a) % d == 0 for a, d in progs)
-
-        t0 = max([0, *(x + 1 for x in explicit), *(a for a, _ in progs)])
-        d0 = reduce(lcm, (d for _, d in progs), 1)
-        return cls._canonical(pred, t0, d0)
+        _guard(max(explicit, default=-1) + 1)
+        low = 0
+        for x in explicit:
+            low |= 1 << x
+        return cls._union([(low.bit_length(), 1, low, 0), *((a, d, 0, 1) for a, d in progs)])
 
     @classmethod
-    def _canonical(cls, pred, t0: int, d0: int) -> "SemilinearSet":
-        """Build the canonical form of a set that is d0-periodic from t0 on."""
-        if d0 > _PERIOD_CAP:
-            raise ValueError(f"period {d0} exceeds cap")
-        window = [pred(t0 + i) for i in range(d0)]
-        if not any(window):
-            return cls(frozenset(x for x in range(t0) if pred(x)), ())
-        # minimal eventual period: smallest divisor of d0 under which the
-        # window is shift-invariant
-        d = next(
-            dd
-            for dd in _divisors(d0)
-            if all(window[i] == window[(i + dd) % d0] for i in range(d0))
-        )
-        # minimal threshold for that period
-        t = t0
-        while t > 0 and pred(t - 1) == pred(t - 1 + d):
-            t -= 1
-        expl = frozenset(x for x in range(t) if pred(x))
-        progs = tuple((a, d) for a in range(t, t + d) if pred(a))
-        return cls(expl, progs)
+    def _union(cls, parts) -> "SemilinearSet":
+        """The union of ``(t, d, low, cycle)`` patterns, each ``d``-periodic
+        from ``t`` on, aligned and minimised once."""
+        t = max((p[0] for p in parts), default=0)
+        d = lcm(*(p[1] for p in parts))
+        low = cycle = 0
+        for part_low, part_cycle in _aligned(parts, t, d):
+            low |= part_low
+            cycle |= part_cycle
+        return cls._from_bits(t, d, low, cycle)
+
+    @classmethod
+    def _from_bits(cls, t: int, d: int, low: int, cycle: int) -> "SemilinearSet":
+        """The canonical set whose members below ``t`` are ``low`` and whose
+        ``d``-bit window from ``t`` on is ``cycle``."""
+        # least period: the smallest divisor p of d under whose rotation the
+        # window is invariant (periods of a cyclic word are the multiples of
+        # the least one)
+        for p in _divisors(d):
+            if p == d or cycle == (cycle >> p) | ((cycle & ((1 << p) - 1)) << (d - p)):
+                break
+        d, cycle = p, cycle & ((1 << p) - 1)
+        # least threshold: continue the period below t and keep the bits
+        # from the highest one where low disagrees with that continuation
+        reps = -(-t // d)
+        back = _repeat(cycle, d, reps * d) >> (reps * d - t)
+        t2 = (low ^ back).bit_length()
+        cycle = ((back | cycle << t) >> t2) & ((1 << d) - 1)
+        return cls(t2, d, low & ((1 << t2) - 1), cycle)
 
     @classmethod
     def empty(cls) -> "SemilinearSet":
-        return cls(frozenset(), ())
+        return cls(0, 1, 0, 0)
 
     @classmethod
     def naturals(cls) -> "SemilinearSet":
-        return cls(frozenset(), ((0, 1),))
+        return cls(0, 1, 0, 1)
 
     @classmethod
     def of(cls, *xs: int) -> "SemilinearSet":
@@ -106,77 +163,94 @@ class SemilinearSet:
         """Half-open range [lo, hi)."""
         return cls.make(range(lo, hi))
 
+    # -- views -----------------------------------------------------------
+
+    @cached_property
+    def explicit(self) -> frozenset[int]:
+        """The members below the threshold."""
+        return frozenset(_ones(self.low))
+
+    @cached_property
+    def progressions(self) -> tuple[tuple[int, int], ...]:
+        """One ``(offset, period)`` per member of ``[t, t + d)``, by offset."""
+        return tuple((self.t + i, self.d) for i in _ones(self.cycle))
+
     # -- queries ---------------------------------------------------------
 
     def __contains__(self, x: int) -> bool:
-        return x in self.explicit or any(
-            x >= a and (x - a) % d == 0 for a, d in self.progressions
-        )
+        if x < self.t:
+            return x >= 0 and self.low >> x & 1 == 1
+        return self.cycle >> (x - self.t) % self.d & 1 == 1
 
     @property
     def is_finite(self) -> bool:
-        return not self.progressions
+        return not self.cycle
 
     @property
     def is_empty(self) -> bool:
-        return not self.explicit and not self.progressions
+        return not self.low and not self.cycle
 
     @property
     def is_infinite(self) -> bool:
-        return bool(self.progressions)
+        return bool(self.cycle)
 
     @property
     def bound(self) -> int:
-        """Membership at and beyond this value is purely periodic."""
-        return max(
-            [0, *(x + 1 for x in self.explicit), *(a + d for a, d in self.progressions)]
-        )
+        """Membership at and beyond this value is purely periodic.
+
+        This is one past the last explicit member, or the last progression's
+        offset plus its period, whichever is larger.
+        """
+        if self.cycle:
+            return self.t + self.cycle.bit_length() - 1 + self.d
+        return self.low.bit_length()
 
     def min_value(self) -> int:
-        if self.is_empty:
-            raise ValueError("empty set has no minimum")
-        cands = list(self.explicit) + [a for a, _ in self.progressions]
-        return min(cands)
+        if self.low:
+            return (self.low & -self.low).bit_length() - 1
+        if self.cycle:
+            return self.t + (self.cycle & -self.cycle).bit_length() - 1
+        raise ValueError("empty set has no minimum")
+
+    def _prefix(self, n: int) -> int:
+        """The members below ``n`` as a mask."""
+        if n <= self.t:
+            return self.low & ((1 << max(n, 0)) - 1)
+        return self.low | _repeat(self.cycle, self.d, n - self.t) << self.t
 
     def elements_below(self, n: int) -> list[int]:
-        return [x for x in range(n) if x in self]
+        return _ones(self._prefix(n))
 
     def count_below(self, n: int) -> int:
-        return sum(1 for x in range(n) if x in self)
+        return self._prefix(n).bit_count()
 
     def first(self, k: int) -> list[int]:
         """The k smallest elements (fewer if the set is smaller)."""
-        out = []
-        x = 0
-        limit = self.bound + k * max([1, *(d for _, d in self.progressions)])
-        while len(out) < k and x <= limit:
-            if x in self:
-                out.append(x)
-            x += 1
-        return out
+        periods = -(-k // self.cycle.bit_count()) if self.cycle else 0
+        return self.elements_below(self.t + periods * self.d)[:k]
 
     # -- algebra ---------------------------------------------------------
 
-    def _combine(self, other: "SemilinearSet", op) -> "SemilinearSet":
-        t0 = max(self.bound, other.bound)
-        d0 = lcm(
-            reduce(lcm, (d for _, d in self.progressions), 1),
-            reduce(lcm, (d for _, d in other.progressions), 1),
-        )
-        return SemilinearSet._canonical(lambda x: op(x in self, x in other), t0, d0)
-
     def union(self, other: "SemilinearSet") -> "SemilinearSet":
-        return self._combine(other, lambda a, b: a or b)
+        return SemilinearSet.union_all((self, other))
+
+    @classmethod
+    def union_all(cls, sets) -> "SemilinearSet":
+        """The union of any number of sets, aligned and minimised once."""
+        return cls._union([(s.t, s.d, s.low, s.cycle) for s in sets])
 
     def intersection(self, other: "SemilinearSet") -> "SemilinearSet":
-        return self._combine(other, lambda a, b: a and b)
+        t, d, (l1, c1), (l2, c2) = self._align(other)
+        return SemilinearSet._from_bits(t, d, l1 & l2, c1 & c2)
 
     def difference(self, other: "SemilinearSet") -> "SemilinearSet":
-        return self._combine(other, lambda a, b: a and not b)
+        t, d, (l1, c1), (l2, c2) = self._align(other)
+        return SemilinearSet._from_bits(t, d, l1 & ~l2, c1 & ~c2)
 
     def complement(self) -> "SemilinearSet":
-        d0 = reduce(lcm, (d for _, d in self.progressions), 1)
-        return SemilinearSet._canonical(lambda x: x not in self, self.bound, d0)
+        # negation commutes with shifts, so both minima carry over
+        t, d = self.t, self.d
+        return SemilinearSet(t, d, ~self.low & ((1 << t) - 1), ~self.cycle & ((1 << d) - 1))
 
     __or__ = union
     __and__ = intersection
@@ -188,11 +262,18 @@ class SemilinearSet:
     def isdisjoint(self, other: "SemilinearSet") -> bool:
         return self.intersection(other).is_empty
 
+    def _align(self, other: "SemilinearSet"):
+        """Common threshold and period, and both sets' (low, cycle) there."""
+        a = (self.t, self.d, self.low, self.cycle)
+        b = (other.t, other.d, other.low, other.cycle)
+        t, d = max(a[0], b[0]), lcm(a[1], b[1])
+        return t, d, *_aligned((a, b), t, d)
+
     # -- text form ---------------------------------------------------------
 
     def text(self) -> str:
-        items = [str(x) for x in sorted(self.explicit)]
-        items += [f"{a}+{d}t" for a, d in sorted(self.progressions)]
+        items = [str(x) for x in _ones(self.low)]
+        items += [f"{self.t + i}+{self.d}t" for i in _ones(self.cycle)]
         return "{" + ",".join(items) + "}"
 
     @classmethod
@@ -214,3 +295,18 @@ class SemilinearSet:
 
     def __repr__(self) -> str:
         return f"SemilinearSet({self.text()})"
+
+
+def _aligned(parts, t: int, d: int) -> list[tuple[int, int]]:
+    """Each ``(t_i, d_i, low, cycle)`` part as ``(low, cycle)`` at threshold
+    ``t >= t_i`` and period ``d``, a multiple of ``d_i``."""
+    _guard(t + d)
+    out = []
+    for pt, pd, low, cycle in parts:
+        if pt == t and pd == d:
+            out.append((low, cycle))
+            continue
+        run = _repeat(cycle, pd, t - pt + d)
+        out.append((low | (run & ((1 << (t - pt)) - 1)) << pt, run >> (t - pt)))
+    return out
+

@@ -18,6 +18,7 @@ plus > minus > whole.  Equality of canonical forms decides set equality.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -248,39 +249,23 @@ class SymVertexSet:
             raise ValueError("sets over different schemas")
 
     def _merge(self, other: "SymVertexSet", op) -> "SymVertexSet":
+        """Apply ``op`` (``operator.or_``, ``and_`` or ``sub``) part by part."""
         self._check(other)
-        sch = self.schema
-        core = frozenset(x for x in sch.core.vertices if op(x in self.core, x in other.core))
-        rays = {}
-        for n in {n for n, _ in self.ray_pos} | {n for n, _ in other.ray_pos}:
-            rays[n] = self.ray_set(n)._combine(other.ray_set(n), op)
-        cliqs = {}
-        for n in {n for n, _ in self.cliq_idx} | {n for n, _ in other.cliq_idx}:
-            cliqs[n] = self.cliq_set(n)._combine(other.cliq_set(n), op)
-        whole = {}
-        for n in {n for n, _ in self.fam_whole} | {n for n, _ in other.fam_whole}:
-            whole[n] = self.whole_set(n)._combine(other.whole_set(n), op)
-        plus, minus = set(), set()
-        for v in self.fam_plus | self.fam_minus | other.fam_plus | other.fam_minus:
-            res = op(v in self, v in other)
-            if v[2] in whole.get(v[1], _EMPTY):
-                if not res:
-                    minus.add(v)
-            elif res:
-                plus.add(v)
-        return SymVertexSet.make(
-            sch, core=core, ray_pos=rays, cliq_idx=cliqs, fam_whole=whole,
-            fam_plus=plus, fam_minus=minus,
-        )
+        rays = {n: op(self.ray_set(n), other.ray_set(n)) for n in _names(self, other, "ray_pos")}
+        cliqs = {n: op(self.cliq_set(n), other.cliq_set(n)) for n in _names(self, other, "cliq_idx")}
+        whole = {n: op(self.whole_set(n), other.whole_set(n)) for n in _names(self, other, "fam_whole")}
+        loose = self.fam_plus | self.fam_minus | other.fam_plus | other.fam_minus
+        inside = op({v for v in loose if v in self}, {v for v in loose if v in other})
+        return _assemble(self.schema, op(self.core, other.core), rays, cliqs, whole, loose, inside)
 
     def union(self, other: "SymVertexSet") -> "SymVertexSet":
-        return self._merge(other, lambda a, b: a or b)
+        return self._merge(other, operator.or_)
 
     def intersection(self, other: "SymVertexSet") -> "SymVertexSet":
-        return self._merge(other, lambda a, b: a and b)
+        return self._merge(other, operator.and_)
 
     def difference(self, other: "SymVertexSet") -> "SymVertexSet":
-        return self._merge(other, lambda a, b: a and not b)
+        return self._merge(other, operator.sub)
 
     def complement(self) -> "SymVertexSet":
         sch = self.schema
@@ -386,8 +371,42 @@ class SymVertexSet:
         return f"SymVertexSet({self.text()})"
 
 
+def _names(a: SymVertexSet, b: SymVertexSet, part: str) -> set[str]:
+    return {n for n, _ in getattr(a, part)} | {n for n, _ in getattr(b, part)}
+
+
+def _assemble(sch, core, rays, cliqs, whole, loose, inside) -> SymVertexSet:
+    """The set with these parts, whose vertices of ``loose`` copies are
+    members exactly when they lie in ``inside``."""
+    plus, minus = set(), set()
+    for v in loose:
+        if v[2] in whole.get(v[1], _EMPTY):
+            if v not in inside:
+                minus.add(v)
+        elif v in inside:
+            plus.add(v)
+    return SymVertexSet.make(
+        sch, core=core, ray_pos=rays, cliq_idx=cliqs, fam_whole=whole,
+        fam_plus=plus, fam_minus=minus,
+    )
+
+
 def union_all(schema: SchemaGraph, sets) -> SymVertexSet:
-    acc = SymVertexSet.empty(schema)
-    for s in sets:
-        acc = acc.union(s)
-    return acc
+    """The union of any number of sets: one n-ary index-set union per part."""
+    sets = list(sets)
+    if any(s.schema is not schema for s in sets):
+        raise ValueError("sets over different schemas")
+
+    def gather(part: str) -> dict[str, SemilinearSet]:
+        by_name: dict[str, list[SemilinearSet]] = {}
+        for s in sets:
+            for n, x in getattr(s, part):
+                by_name.setdefault(n, []).append(x)
+        return {n: SemilinearSet.union_all(xs) for n, xs in by_name.items()}
+
+    loose = frozenset().union(*(s.fam_plus | s.fam_minus for s in sets))
+    inside = {v for v in loose if any(v in s for s in sets)}
+    core = frozenset().union(*(s.core for s in sets))
+    return _assemble(
+        schema, core, gather("ray_pos"), gather("cliq_idx"), gather("fam_whole"), loose, inside
+    )

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from tangles import cli
 from tangles.cli import main
 from tangles.graphs import render_finite, complete_graph
 
@@ -153,3 +157,20 @@ def test_dot_output(capsys, k4_file):
     assert code == 0 and out.count("--") == 6
     code, out = run(capsys, "dot", "builtin:ray", "--truncation", "3")
     assert out.count("--") == 2
+
+
+def test_tk_exit_code_follows_verification(capsys, k4_file, monkeypatch):
+    monkeypatch.setattr(cli, "verify_subdivision", lambda g, K, cert: False)
+    code, out = run(capsys, "tk", k4_file, "--set", "k0,k1,k2,k3", "--json")
+    assert json.loads(out)["ok"] and code == 1
+
+
+def test_wide_index_set_query_terminates():
+    # three coprime periods align to a 716,539-bit pattern
+    proc = subprocess.run(
+        [sys.executable, "-m", "tangles.cli", "uf", "builtin:star", "--at", "core:c",
+         "--query", "{L{3+97t,5+89t,7+83t}}"],
+        capture_output=True, text=True, timeout=120,
+        env=os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode in (0, 3), proc.stderr

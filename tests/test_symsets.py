@@ -1,11 +1,14 @@
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tangles.builtin import load
+from tangles.builtin import EXTRAS, SUITE, load
+from tangles.sampling import random_separation
 from tangles.schema import vertex_text
 from tangles.semilinear import SemilinearSet
-from tangles.symsets import SymVertexSet
+from tangles.symsets import SymVertexSet, union_all
 
 FAN = load("fan")  # core c, ray R, family T attached to c and along R
 
@@ -120,3 +123,26 @@ def test_complement_partitions_universe(a):
     full = SymVertexSet.all_vertices(FAN)
     assert (a | a.complement()) == full
     assert (a & a.complement()).is_empty
+
+
+@given(
+    st.sampled_from(SUITE + EXTRAS),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 5),
+)
+@example("star", 0, 0)
+@example("spider", 1, 1)
+@settings(max_examples=60, deadline=None)
+def test_union_all_matches_pairwise_fold(name, seed, count):
+    schema = load(name)
+    rng = random.Random(seed)
+    sets = []
+    for _ in range(count):
+        sep = random_separation(schema, rng, depth_bound=6)
+        side = rng.choice((sep.side_A, sep.side_B))
+        sets.append(side.complement() if rng.random() < 0.3 else side)
+    fold = SymVertexSet.empty(schema)
+    for s in sets:
+        fold = fold.union(s)
+    assert union_all(schema, sets) == fold
+    assert union_all(schema, sets).text() == fold.text()
