@@ -168,8 +168,7 @@ def main(argv=None) -> int:
     s = sub.add_parser("observation", help="small-inverse-supremum vs finite far side, sampled")
     s.add_argument("schema")
 
-    s = sub.add_parser("check", help="run the bundled verification suite")
-    s.add_argument("--suite", default="all")
+    sub.add_parser("check", help="run the bundled verification suite")
 
     s = sub.add_parser("dot", help="export a finite graph or truncated schema as DOT")
     s.add_argument("graph")

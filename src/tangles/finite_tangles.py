@@ -11,7 +11,7 @@ the whole graph with its left sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, takewhile
 
 import numpy as np
 
@@ -280,9 +280,13 @@ def connected_graphs_up_to(n: int):
 
     from .graphs import FiniteGraph
 
+    # the atlas is ordered by node count, so read it only up to the first
+    # larger graph (nx.graph_atlas(i) would reread the file for every i)
+    from networkx.generators.atlas import _generate_graphs
+
     out = []
-    for G in nx.graph_atlas_g():
-        if 1 <= G.number_of_nodes() <= n and nx.is_connected(G):
+    for G in takewhile(lambda G: G.number_of_nodes() <= n, _generate_graphs()):
+        if G.number_of_nodes() >= 1 and nx.is_connected(G):
             mapping = {v: f"a{v}" for v in G.nodes}
             fg = FiniteGraph(
                 frozenset(mapping.values()),

@@ -476,34 +476,36 @@ def sample_perturbation(
 def infinite_star_probe(tangle: Tangle, level: frozenset, family: str) -> dict:
     """Evaluate the indexed infinite star that points away from each copy of
     the family class at the given level (one member absorbs the other
-    components).  Reports whether the tangle contains all members and the
-    common far side is finite."""
+    components).  Reports whether the tangle contains all members (for a
+    uf tangle, the per-copy members of the first three copies) and whether
+    the members' far sides meet finitely."""
     schema = tangle.schema
     cs = components(schema, level)
     cl = cs.class_for(family)
     if cl is None or not cl.indices.is_infinite:
         raise ValueError("no infinite class at this level")
-    i0 = cl.indices.min_value()
-    rest = cl.indices - SemilinearSet.of(i0)
-    # the member absorbing copy i0 and every non-class component on its near side
-    sep0 = from_bipartition(
-        schema, level, cs.selection(class_parts={family: rest})
-    )
-    contains0 = in_tangle(tangle, sep0)
-    # the per-copy members (level u copy_i, everything else): decided uniformly
+    rest = cl.indices - SemilinearSet.of(cl.indices.min_value())
+    rest_copies = cs.selection(class_parts={family: rest})
+    # the member absorbing the first copy and every non-class component on its near side
+    sep0 = from_bipartition(schema, level, rest_copies)
+    contained = in_tangle(tangle, sep0)
+    # the per-copy members (level u copy_i, everything else) for i in rest
     if tangle.kind == "uf":
-        per_copy_all_in = True  # cofinite traces are forced towards the class
+        for i in rest.first(3):
+            copy_i = cs.selection(class_parts={family: SemilinearSet.of(i)})
+            contained = contained and in_tangle(tangle, from_bipartition(schema, level, copy_i.complement()))
     else:
         loc = end_component(schema, tangle.end, cs)
-        per_copy_all_in = not (loc[0] == "class" and cs.classes[loc[1]].family == family and loc[2] in rest)
-    # the members' far sides always intersect to exactly the level set
-    contained = contains0 and per_copy_all_in
+        in_rest = loc[0] == "class" and cs.classes[loc[1]].family == family and loc[2] in rest
+        contained = contained and not in_rest
+    # copy i's member has all but copy i on its far side
+    far_side_finite = (sep0.side_B - rest_copies.union_vertices()).is_finite
     return {
         "level": sorted(map(vertex_text, level)),
         "family": family,
         "contained": contained,
-        "far_side_finite": True,
-        "witnesses_infinite_star": contained,
+        "far_side_finite": far_side_finite,
+        "witnesses_infinite_star": contained and far_side_finite,
     }
 
 
@@ -556,7 +558,7 @@ def axiom_check(
             if cl.indices.is_infinite:
                 probes.append(infinite_star_probe(tangle, level, cl.family))
     witnessed = [p for p in probes if p["witnesses_infinite_star"]]
-    if tangle.kind == "uf" and probes and not witnessed:
+    if tangle.kind == "uf" and not witnessed:
         findings.append(("missing_infinite_star_witness",))
     if tangle.kind == "end" and witnessed:
         findings.append(("end_tangle_contains_infinite_star", witnessed))

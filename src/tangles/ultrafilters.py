@@ -12,6 +12,7 @@ object.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .components import ComponentSelection, ComponentSet, components
@@ -36,8 +37,9 @@ class LazyCore:
         if self.base.is_finite:
             raise ValueError("concentration base must be infinite")
 
-    def decide(self, trace: SemilinearSet, text_yes: str, text_no: str) -> bool:
-        """Decide whether a collection with the given index trace is in the filter."""
+    def decide(self, trace: SemilinearSet, tie_break: Callable[[], bool]) -> bool:
+        """Decide whether a collection with the given index trace is in the
+        filter; ``tie_break()`` is called only if the answer is not forced."""
         inside = trace & self.base
         outside = self.base - trace
         if inside.is_finite:
@@ -45,7 +47,7 @@ class LazyCore:
         elif outside.is_finite:
             answer, forced = True, True
         else:
-            answer, forced = text_yes <= text_no, False
+            answer, forced = tie_break(), False
         self.base = inside if answer else outside
         self.log.append((trace.text(), answer, forced))
         return answer
@@ -65,8 +67,7 @@ class LazyCore:
         core = cls(family, initial_base)
         for e in entries:
             trace, want = e["trace"], e["answer"]
-            tie_yes, tie_no = ("", "~") if want else ("~", "")
-            got = core.decide(SemilinearSet.parse(trace), tie_yes, tie_no)
+            got = core.decide(SemilinearSet.parse(trace), lambda: want)
             if got != want:
                 raise ValueError(f"log entry {trace} -> {want} contradicts earlier commitments")
         return core
@@ -106,7 +107,8 @@ class UltrafilterHandle:
             return sel.contains_component(self.gen)
         k = self.cs.class_index(self.core.family)
         trace = sel.class_parts[k]
-        return self.core.decide(trace, sel.text(), sel.complement().text())
+        # commit the part whose canonical text sorts first
+        return self.core.decide(trace, lambda: sel.text() <= sel.complement().text())
 
     def describe(self) -> dict:
         if self.is_principal:

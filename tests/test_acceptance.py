@@ -1,76 +1,28 @@
 """Acceptance criteria, one test per criterion.
 
-Each test prints a single verdict line (run with ``-s`` or check the
-captured output).  Sample counts and expectations are pinned here; the
-sampling seed defaults to 7 and can be moved with --acceptance-seed.
+Each test calls the criterion's check function from ``tangles.suite`` (the
+same functions ``tangles check`` runs at reduced counts) at the pinned
+counts below, asserts the floors and prints a single verdict line (run
+with ``-s`` or check the captured output).  The sampling seed defaults
+to 7 and can be moved with --acceptance-seed.
 """
 
 import json
 import random
-from itertools import combinations
 
-import networkx as nx
 import pytest
 
-from tangles.abstract import observation_check
-from tangles.blocks import build_clique_subdivision, is_inseparable, verify_subdivision
-from tangles.builtin import SUITE, load
-from tangles.components import components
-from tangles.finite_tangles import (
-    check_join_closure,
-    check_star_reduction,
-    connected_graphs_up_to,
-    count_tangles,
-)
-from tangles.graphs import FiniteGraph, complete_graph, cycle_graph, from_edges, grid_graph, path_graph
-from tangles.infinite_tangles import (
-    axiom_check,
-    census,
-    end_count_estimate,
-    expected_estimate,
-    induced_ultrafilter,
-    limit_of_tangle,
-    minimal_witness,
-    orient,
-    sample_star_in_tangle,
-    suite_tangles,
-    tangle_from_limit,
-)
-from tangles.sampling import random_level, random_selection, random_separation
-from tangles.schema import parse_vertex, vertex_text
-from tangles.semilinear import SemilinearSet
-from tangles.suite import handles_equivalent, run_suite
-from tangles.topology import (
-    basic_open,
-    closure_probe,
-    default_schedule,
-    extract_subcover,
-    is_closed,
-    kernel,
-    kernel_orientation_agrees,
-    nonclosed_witness_separation,
-)
-from tangles.ultrafilters import (
-    lazy_on,
-    lift_ultrafilter,
-    limit_from_nonprincipal,
-    principal_at,
-    restrict_ultrafilter,
-)
-
-FINITE_SUITE = [
-    (complete_graph(4), 2),
-    (cycle_graph(4), 2),
-    (complete_graph(5), 3),
-    (grid_graph(3, 3), 3),
-    (path_graph(5), 2),
-    (cycle_graph(6), 2),
-]
+from tangles import suite
+from tangles.suite import run_suite
 
 
 def verdict(num: int, title: str, ok: bool):
     print(f"[criterion {num:02d}] {title}: {'PASS' if ok else 'FAIL'}")
     assert ok, f"criterion {num} failed: {title}"
+
+
+def all_ok(rep: dict) -> bool:
+    return all(c["ok"] for c in rep["checks"])
 
 
 @pytest.fixture()
@@ -79,315 +31,73 @@ def arng(acceptance_seed):
 
 
 def test_criterion_01_finite_tangle_oracle_regressions():
-    got = (
-        count_tangles(complete_graph(3), 3),
-        count_tangles(complete_graph(4), 2),
-        count_tangles(cycle_graph(4), 2),
-    )
-    verdict(1, "finite tangle oracle regressions (K3@3, K4@2, C4@2)", got == (0, 1, 1))
+    rep = suite.tangle_counts()
+    verdict(1, "finite tangle oracle regressions (K3@3, K4@2, C4@2)", all_ok(rep))
 
 
 def test_criterion_02_star_cover_reduction():
-    bad = []
-    for g in connected_graphs_up_to(5):
-        for k in (1, 2, 3):
-            rep = check_star_reduction(g, k)
-            if not rep["ok"]:
-                bad.append((g.digest(), k))
-    verdict(2, "star-cover reduction on connected graphs <= 5 vertices, k <= 3", not bad)
+    rep = suite.star_cover_reduction(5, (1, 2, 3))
+    verdict(2, "star-cover reduction on connected graphs <= 5 vertices, k <= 3", all_ok(rep))
 
 
 def test_criterion_03_join_closure():
-    bad = [
-        (g.digest(), k)
-        for g, k in FINITE_SUITE
-        if not check_join_closure(g, k)["ok"]
-    ]
-    verdict(3, "join closure for every enumerated finite tangle", not bad)
+    rep = suite.join_closure(6)
+    verdict(3, "join closure for every enumerated finite tangle", all_ok(rep))
 
 
 def test_criterion_04_component_oracle(arng):
-    ok = True
-    for name in SUITE:
-        schema = load(name)
-        for _ in range(30):
-            X = random_level(schema, arng, 3, 6)
-            for n in (10, 20, 40):
-                if not _components_match(schema, X, n):
-                    ok = False
-    verdict(4, "symbolic components match truncations (30 X, n in 10/20/40)", ok)
-
-
-def _components_match(schema, X, n):
-    cs = components(schema, X)
-    sym = []
-    for c in cs.concretes:
-        vs = frozenset(vertex_text(v) for v in c.vertices.explicit_below(n))
-        if vs:
-            sym.append(vs)
-    for cl in cs.classes:
-        fam = schema.family_spec(cl.family)
-        for i in cl.indices.elements_below(n):
-            if fam.is_ray_family:
-                sym.append(frozenset(vertex_text(("fam", cl.family, i, p)) for p in range(n)))
-            else:
-                sym.append(
-                    frozenset(
-                        vertex_text(("fam", cl.family, i, pv))
-                        for pv in fam.pattern_vertices()
-                    )
-                )
-    g = schema.truncate(n)
-    removed = frozenset(vertex_text(v) for v in X)
-    return sorted(map(sorted, sym)) == sorted(map(sorted, g.components(removed=removed)))
+    rep = suite.component_oracle(arng, 30, (10, 20, 40))
+    verdict(4, "symbolic components match truncations (30 X, n in 10/20/40)", all_ok(rep))
 
 
 def test_criterion_05_inverse_system_laws(arng):
-    violations = 0
-    chains = 0
-    for name in ("star", "spider", "twostars", "twohub", "comb"):
-        schema = load(name)
-        done = 0
-        while done < 10:
-            X = random_level(schema, arng, 2, 6)
-            Xp = X | random_level(schema, arng, 2, 6)
-            Xpp = Xp | random_level(schema, arng, 2, 6)
-            cs = components(schema, Xpp)
-            if not cs.concretes:
-                continue
-            done += 1
-            chains += 1
-            u = principal_at(cs, ("concrete", arng.randrange(len(cs.concretes))))
-            if not handles_equivalent(
-                restrict_ultrafilter(restrict_ultrafilter(u, Xp), X),
-                restrict_ultrafilter(u, X),
-            ):
-                violations += 1
-    assert chains >= 50
-
-    probes = 0
-    for name in ("star", "spider", "twohub"):
-        schema = load(name)
-        t = suite_tangles(schema)[-1]
-        u = t.handle
-        for _ in range(40):
-            Xp = t.witness | random_level(schema, arng, 2, 6)
-            back = restrict_ultrafilter(lift_ultrafilter(u, Xp), t.witness)
-            sel = random_selection(u.cs, arng)
-            probes += 1
-            if back.membership(sel) != u.membership(sel) or not handles_equivalent(back, u):
-                violations += 1
-    assert probes >= 100
-
-    pairs = 0
-    for name in ("star", "spider", "twohub"):
-        schema = load(name)
-        u = lazy_on(components(schema, suite_tangles(schema)[-1].witness))
-        fam = limit_from_nonprincipal(u)
-        for _ in range(17):
-            Y = random_level(schema, arng, 2, 6)
-            Yp = Y | random_level(schema, arng, 2, 6)
-            pairs += 1
-            if not handles_equivalent(restrict_ultrafilter(fam.eval(Yp), Y), fam.eval(Y)):
-                violations += 1
-    assert pairs >= 50
-    verdict(5, "inverse-system laws (functoriality, lift-restrict, limits)", violations == 0)
+    rep = suite.inverse_system(arng, chains=10, probes=40, pairs=17)
+    assert rep["chains"] >= 50
+    assert rep["probes"] >= 100
+    assert rep["pairs"] >= 50
+    verdict(5, "inverse-system laws (functoriality, lift-restrict, limits)", all_ok(rep))
 
 
 def test_criterion_06_tangle_limit_roundtrips(arng):
-    violations = 0
-    for name in SUITE:
-        schema = load(name)
-        for t in suite_tangles(schema):
-            lim = limit_of_tangle(t)
-            t2 = tangle_from_limit(lim)
-            lim2 = limit_of_tangle(t2)
-            for _ in range(50):
-                sep = random_separation(schema, arng, depth_bound=6)
-                if orient(t, sep) != orient(t2, sep):
-                    violations += 1
-                Y = random_level(schema, arng, 2, 6)
-                sel = random_selection(components(schema, Y), arng)
-                if lim.eval(Y).membership(sel) != lim2.eval(Y).membership(sel):
-                    violations += 1
-    verdict(6, "tangle/limit bijection round-trips (50 samples each way)", violations == 0)
+    rep = suite.limit_roundtrip(arng, 50)
+    verdict(6, "tangle/limit bijection round-trips (50 samples each way)", all_ok(rep))
 
 
 def test_criterion_07_census():
-    expected = {
-        "ray": (1, []),
-        "dray": (2, []),
-        "star": (0, [["core:c"]]),
-        "spider": ("aleph0", [["core:c"]]),
-        "cliq": (1, []),
-    }
-    ok = True
-    for name, (ends, wits) in expected.items():
-        rep = census(load(name))
-        ok = ok and rep["end_count"] == ends
-        ok = ok and [u["witness"] for u in rep["uf_classes"]] == wits
-        ok = ok and rep["tangles_exist"]
-    rep = census(load("spider"))
-    ok = ok and rep["ends"]["classes"] == [{"family": "L", "one_end_per_index": True}]
-    for name in SUITE:
-        schema = load(name)
-        ok = ok and census(schema)["tangles_exist"]
-        for n in (20, 40):
-            ok = ok and end_count_estimate(schema, n) == expected_estimate(schema, n)
-    verdict(7, "census values and truncation end counts (n in 20/40)", ok)
+    rep = suite.census_values((20, 40))
+    verdict(7, "census values and truncation end counts (n in 20/40)", all_ok(rep))
 
 
 def test_criterion_08_minimal_witness(arng):
-    ok = True
-    for name in SUITE + ("twostars", "twohub"):
-        schema = load(name)
-        for t in suite_tangles(schema):
-            if t.kind != "uf":
-                continue
-            w = minimal_witness(t)
-            for _ in range(20):
-                sup = w | random_level(schema, arng, 2, 6)
-                ok = ok and not induced_ultrafilter(t, sup).is_principal
-            for r in range(len(w)):
-                for sub in combinations(sorted(w), r):
-                    ok = ok and induced_ultrafilter(t, frozenset(sub)).is_principal
-            seen = 0
-            while seen < 20:
-                other = random_level(schema, arng, 3, 6)
-                if w <= other or other >= w:
-                    continue
-                seen += 1
-                ok = ok and induced_ultrafilter(t, other).is_principal
-    verdict(8, "minimal witness: up-set splits, down-set and incomparables do not", ok)
+    rep = suite.minimal_witnesses(arng, supersets=20, others=20)
+    verdict(8, "minimal witness: up-set splits, down-set and incomparables do not", all_ok(rep))
 
 
 def test_criterion_09_tangle_axioms(arng):
-    ok = True
-    for name in SUITE:
-        schema = load(name)
-        for t in suite_tangles(schema):
-            rep = axiom_check(
-                t,
-                arng,
-                star_samples=200,
-                perturbation_samples=100,
-                member_samples=100,
-                depth_bound=6,
-            )
-            ok = ok and rep["ok"] and rep["stars_checked"] >= 150
-            witnessed = [
-                p for p in rep["infinite_star_probes"] if p["witnesses_infinite_star"]
-            ]
-            if t.kind == "uf":
-                ok = ok and len(witnessed) >= 1
-            else:
-                ok = ok and not witnessed
+    rep = suite.axioms(arng, star_samples=200, perturbation_samples=100, member_samples=100)
+    ok = all_ok(rep) and rep["stars_checked"] >= 150
     verdict(9, "tangle axioms: finite stars, perturbations, infinite far sides", ok)
 
 
 def test_criterion_10_closedness(arng):
-    ok = True
-    for name in SUITE:
-        schema = load(name)
-        for t in suite_tangles(schema):
-            if t.kind == "uf":
-                ok = ok and not is_closed(t)
-                s = nonclosed_witness_separation(t)
-                rep = closure_probe(t, s, default_schedule(schema, 5))
-                ok = ok and rep["limit_point_evidence"] and rep["levels"] == 5
-            elif name == "cliq":
-                ok = ok and is_closed(t)
-                k = kernel(t)
-                ok = ok and k.cliq_set("K") == SemilinearSet.naturals()
-                for _ in range(200):
-                    sep = random_separation(schema, arng, depth_bound=6)
-                    ok = ok and kernel_orientation_agrees(t, sep)
-            else:
-                ok = ok and not is_closed(t)
-                s = nonclosed_witness_separation(t)
-                rep = closure_probe(t, s, default_schedule(schema, 5))
-                ok = ok and rep["limit_point_evidence"]
-    verdict(10, "closedness: kernel criterion, probes and the far-side rule", ok)
+    rep = suite.closedness(arng, levels=5, samples=200)
+    verdict(10, "closedness: kernel criterion, probes and the far-side rule", all_ok(rep))
 
 
 def test_criterion_11_subcover_extraction():
-    star = load("star")
-    X = frozenset({("core", "c")})
-    cs = components(star, X)
-    evens = cs.selection(class_parts={"L": SemilinearSet.progression(0, 2)})
-    opens = [basic_open(star, X, evens), basic_open(star, X, evens.complement())]
-    rep = extract_subcover(star, opens)
-    ok = rep["verdict"] == "CONFIRMED"
-    absorbed = set(rep["absorbed_vertices"]) | set(rep["union_level"])
-    n = 50
-    g = star.truncate(n)
-    for vt in sorted(g.vertices):
-        v = parse_vertex(star, vt)
-        ok = ok and (vt in absorbed or any(o.contains_vertex(v) for o in opens))
-    for ut, wt in sorted(g.edges):
-        u, w = parse_vertex(star, ut), parse_vertex(star, wt)
-        ok = ok and (
-            any(o.contains_edge_point(u, w) for o in opens)
-            or (ut in absorbed and wt in absorbed)
-        )
-    for t in suite_tangles(star):
-        ok = ok and any(o.contains_tangle(t) for o in opens)
-
-    ray = load("ray")
-    X0 = frozenset({("ray", "R", 0)})
-    cs0 = components(ray, X0)
-    rep_ray = extract_subcover(ray, [basic_open(ray, X0, cs0.select_all())])
-    ok = ok and rep_ray["verdict"] == "CONFIRMED"
-
-    rep2 = extract_subcover(star, [opens[0]])
-    ok = ok and rep2["verdict"] == "REFUTED" and rep2["missed_by_every_open"]
-    ok = ok and rep2["witness_kind"] == "uf"
-    verdict(11, "finite subcover: CONFIRMED sound on trunc(50), lone open REFUTED", ok)
+    rep = suite.subcover(50)
+    verdict(11, "finite subcover: CONFIRMED sound on trunc(50), lone open REFUTED", all_ok(rep))
 
 
 def test_criterion_12_clique_subdivisions(arng):
-    k5 = complete_graph(5)
-    cert = build_clique_subdivision(k5, k5.vertices)
-    ok = cert["ok"] and verify_subdivision(k5, k5.vertices, cert)
-
-    edges = sorted(k5.edges)
-    k5e = from_edges(edges[:-1])
-    cert2 = build_clique_subdivision(k5e, k5.vertices)
-    # five branch vertices cannot carry ten internally disjoint connections
-    # on nine edges; the builder reports the missing pair, which also
-    # violates the inseparability precondition
-    ok = ok and not cert2["ok"]
-    ok = ok and tuple(sorted(cert2["blocking_pair"])) == edges[-1]
-    ok = ok and not is_inseparable(k5e, k5.vertices, 5)
-
-    built = 0
-    for seed in range(20):
-        G = nx.gnp_random_graph(8, 0.78, seed=seed)
-        if not nx.is_connected(G):
-            continue
-        g = FiniteGraph(
-            frozenset(f"v{n}" for n in G.nodes),
-            frozenset(tuple(sorted((f"v{u}", f"v{v}"))) for u, v in G.edges),
-        )
-        K = set(arng.sample(sorted(g.vertices), 4))
-        if not is_inseparable(g, K, len(K)):
-            continue
-        cert = build_clique_subdivision(g, K)
-        if cert["ok"]:
-            built += 1
-            ok = ok and verify_subdivision(g, K, cert)
-    ok = ok and built >= 5
+    rep = suite.clique_subdivisions(arng, graphs=20)
+    ok = all_ok(rep) and rep["built"] >= 5
     verdict(12, "clique subdivision certificates (K5, K5 minus an edge, random)", ok)
 
 
 def test_criterion_13_observation(arng):
-    ok = True
-    for name in SUITE:
-        schema = load(name)
-        for t in suite_tangles(schema):
-            stars = [sample_star_in_tangle(t, arng, depth_bound=6) for _ in range(300)]
-            rep = observation_check(t, stars)
-            ok = ok and rep["ok"] and rep["stars_checked"] >= 250
+    rep = suite.observation(arng, stars=300)
+    ok = all_ok(rep) and rep["stars_checked"] >= 250
     verdict(13, "small-inverse supremum iff finite far side (300 stars/tangle)", ok)
 
 

@@ -144,6 +144,22 @@ def test_check_deterministic(capsys):
     assert json.loads(out1)["ok"]
 
 
+def test_check_fails_on_a_wrong_oracle_answer(capsys, monkeypatch):
+    from tangles import suite
+
+    monkeypatch.setattr(suite, "count_tangles", lambda g, k: 7)
+    failed = [c for c in suite.run_suite(seed=7, samples=2)["checks"] if not c["ok"]]
+    assert {c["name"] for c in failed} == {"finite-oracle/tangle-count"}
+    assert len(failed) == 3
+    code, out = run(capsys, "check", "--seed", "7", "--samples", "8", "--json")
+    assert code == 1 and not json.loads(out)["ok"]
+
+
+def test_check_has_no_suite_option(capsys):
+    with pytest.raises(SystemExit):
+        main(["check", "--suite", "all"])
+
+
 def test_bad_inputs_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.g"
     bad.write_text("v a\ne a a\n")

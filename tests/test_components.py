@@ -5,35 +5,7 @@ from tangles.graphs import path_graph
 from tangles.sampling import random_level
 from tangles.schema import SchemaGraph, vertex_text
 from tangles.semilinear import SemilinearSet
-
-
-def sym_components_below(schema, X, n):
-    """Expand a symbolic component set to explicit vertex sets below depth n."""
-    cs = components(schema, X)
-    out = []
-    for c in cs.concretes:
-        vs = frozenset(vertex_text(v) for v in c.vertices.explicit_below(n))
-        if vs:
-            out.append(vs)
-    for cl in cs.classes:
-        fam = schema.family_spec(cl.family)
-        for i in cl.indices.elements_below(n):
-            if fam.is_ray_family:
-                out.append(frozenset(vertex_text(("fam", cl.family, i, p)) for p in range(n)))
-            else:
-                out.append(
-                    frozenset(
-                        vertex_text(("fam", cl.family, i, pv))
-                        for pv in fam.pattern_vertices()
-                    )
-                )
-    return sorted(map(sorted, out))
-
-
-def truncation_components(schema, X, n):
-    g = schema.truncate(n)
-    removed = frozenset(vertex_text(v) for v in X)
-    return sorted(map(sorted, g.components(removed=removed)))
+from tangles.suite import symbolic_components_below, truncation_components
 
 
 def test_path_middle_vertex():
@@ -58,7 +30,7 @@ def test_spider_hub_gives_whole_leg_per_index(schemas):
     assert [(c.family, c.indices) for c in cs.classes] == [
         ("L", SemilinearSet.naturals())
     ]
-    assert sym_components_below(spider, {("core", "c")}, 10) == truncation_components(
+    assert symbolic_components_below(spider, {("core", "c")}, 10) == truncation_components(
         spider, {("core", "c")}, 10
     )
 
@@ -91,7 +63,7 @@ def test_oracle_against_truncations(name, schemas, rng):
     for _ in range(12):
         X = random_level(schema, rng, 3, 6)
         for n in (10, 14):
-            assert sym_components_below(schema, X, n) == truncation_components(
+            assert symbolic_components_below(schema, X, n) == truncation_components(
                 schema, X, n
             ), (name, sorted(map(vertex_text, X)), n)
 
@@ -163,7 +135,7 @@ def test_oracle_on_adversarial_schemas(name, rng):
     for _ in range(15):
         X = random_level(schema, rng, 4, 6)
         for n in (10, 14):
-            assert sym_components_below(schema, X, n) == truncation_components(
+            assert symbolic_components_below(schema, X, n) == truncation_components(
                 schema, X, n
             ), (name, sorted(map(vertex_text, X)), n)
 

@@ -298,6 +298,21 @@ def test_uf_tangles_contain_an_infinite_star_with_finite_far_side(schemas):
         assert probe["contained"] and probe["far_side_finite"]
 
 
+def test_infinite_star_probe_orients_per_copy_members(schemas, monkeypatch):
+    import tangles.infinite_tangles as it
+
+    star = schemas["star"]
+    t = uf_tangle(star)
+    level = minimal_witness(t)
+    copy1 = components(star, level).member_vertices("L", 1)
+    real = it.in_tangle
+    # reject the member pointing away from copy 1; the absorbing member keeps it
+    monkeypatch.setattr(it, "in_tangle", lambda t, sep: real(t, sep) and copy1.issubset(sep.side_B))
+    probe = infinite_star_probe(t, level, "L")
+    assert not probe["contained"] and not probe["witnesses_infinite_star"]
+    assert probe["far_side_finite"]
+
+
 def test_end_tangles_contain_no_infinite_star_probe(schemas):
     spider = schemas["spider"]
     for i in (0, 4):
