@@ -334,7 +334,7 @@ def components(schema: SchemaGraph, X) -> ComponentSet:
 
     nodes: set = set()
     adj: dict[object, set] = {}
-    vsets: dict[object, SymVertexSet] = {}
+    vsets: dict[object, SymVertexSet] = {}  # explicit ("v", v) nodes carry none
 
     def add_node(n, vset=None):
         if n not in adj:
@@ -352,14 +352,14 @@ def components(schema: SchemaGraph, X) -> ComponentSet:
         return ("v", v)
 
     for x in schema.core.vertices:
-        add_node(vnode(("core", x)), SymVertexSet.of(schema, [("core", x)]))
+        add_node(vnode(("core", x)))
     for u, v in schema.core.edges:
         add_edge(vnode(("core", u)), vnode(("core", v)))
 
     for r in schema.rays:
         m = m_ray[r.name]
         for p in range(m + 1):
-            add_node(vnode(("ray", r.name, p)), SymVertexSet.of(schema, [("ray", r.name, p)]))
+            add_node(vnode(("ray", r.name, p)))
             if p > 0:
                 add_edge(vnode(("ray", r.name, p - 1)), vnode(("ray", r.name, p)))
         tail = ("rtail", r.name)
@@ -387,7 +387,7 @@ def components(schema: SchemaGraph, X) -> ComponentSet:
                 m = leg_pos.get((f.name, i), -1)
                 for p in range(m + 1):
                     vv = ("fam", f.name, i, p)
-                    add_node(vnode(vv), SymVertexSet.of(schema, [vv]))
+                    add_node(vnode(vv))
                     if p > 0:
                         add_edge(vnode(("fam", f.name, i, p - 1)), vnode(vv))
                 tail = ("ftail", f.name, i)
@@ -399,8 +399,7 @@ def components(schema: SchemaGraph, X) -> ComponentSet:
                     add_edge(hub, vnode(("fam", f.name, i, 0)) if m >= 0 else tail)
             else:
                 for pv in f.pattern_vertices():
-                    vv = ("fam", f.name, i, pv)
-                    add_node(vnode(vv), SymVertexSet.of(schema, [vv]))
+                    add_node(vnode(("fam", f.name, i, pv)))
                 for u, v in f.pattern.edges:
                     add_edge(vnode(("fam", f.name, i, u)), vnode(("fam", f.name, i, v)))
                 for c, pv in f.core_attach:
@@ -441,7 +440,8 @@ def components(schema: SchemaGraph, X) -> ComponentSet:
             indices = SemilinearSet.from_(t_fam[fname] + 1)
             classes.append(FamilyClass(fname, indices))
         else:
-            vs = union_all(schema, [vsets[n] for n in comp])
+            explicit = SymVertexSet.of(schema, [n[1] for n in comp if n[0] == "v"])
+            vs = union_all(schema, [explicit] + [vsets[n] for n in comp if n[0] != "v"])
             if not vs.is_empty:
                 concretes.append(Concrete(vs))
 

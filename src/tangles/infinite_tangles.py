@@ -139,7 +139,7 @@ def uf_tangle(
 ) -> Tangle:
     """A fresh ultrafilter tangle concentrated on a family's copy class."""
     if family is None:
-        cands = [f.name for f in schema.families if not f.ray_attach and f.core_attach]
+        cands = splittable_families(schema)
         if not cands:
             raise ValueError("schema has no splittable family")
         family = cands[0]
@@ -154,6 +154,12 @@ def uf_tangle_from_handle(handle: UltrafilterHandle) -> Tangle:
     if handle.is_principal:
         raise PrincipalInputError("ultrafilter tangles need a non-principal handle")
     return Tangle(handle.schema, "uf", witness=handle.level, handle=handle)
+
+
+def splittable_families(schema: SchemaGraph) -> list[str]:
+    """Families attached to the core only: deleting their hubs detaches
+    every copy, so infinitely many components split off."""
+    return [f.name for f in schema.families if f.core_attach and not f.ray_attach]
 
 
 def hub_vertices(schema: SchemaGraph, family: str) -> frozenset[Vertex]:
@@ -191,16 +197,8 @@ def witness_candidates(schema: SchemaGraph) -> list[frozenset]:
     Only deleting all core attachments of a family detaches its copies,
     so the hub sets of core-attached families are the only candidates.
     """
-    out = [frozenset()]
-    for f in schema.families:
-        if f.core_attach and not f.ray_attach:
-            out.append(hub_vertices(schema, f.name))
-    seen, uniq = set(), []
-    for x in out:
-        if x not in seen:
-            seen.add(x)
-            uniq.append(x)
-    return uniq
+    hubs = (hub_vertices(schema, name) for name in splittable_families(schema))
+    return list(dict.fromkeys([frozenset(), *hubs]))
 
 
 def classify(tangle: Tangle) -> str:
@@ -345,12 +343,9 @@ def tangle_from_limit(limit: LimitFamily) -> Tangle:
 
 def uf_classes(schema: SchemaGraph) -> list[dict]:
     out = []
-    for f in schema.families:
-        if f.core_attach and not f.ray_attach:
-            hubs = sorted(hub_vertices(schema, f.name), key=vertex_sort_key)
-            out.append(
-                {"witness": [vertex_text(v) for v in hubs], "family": f.name}
-            )
+    for name in splittable_families(schema):
+        hubs = sorted(hub_vertices(schema, name), key=vertex_sort_key)
+        out.append({"witness": [vertex_text(v) for v in hubs], "family": name})
     return out
 
 

@@ -59,9 +59,6 @@ class OrientedSeparation:
             raise ValueError("separations over different graphs")
         return self.side_A.issubset(other.side_A) and other.side_B.issubset(self.side_B)
 
-    def lt(self, other: "OrientedSeparation") -> bool:
-        return self != other and self.leq(other)
-
     @property
     def is_small(self) -> bool:
         """Whether the separation points at everything: B = V."""

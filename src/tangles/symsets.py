@@ -1,49 +1,81 @@
 """Symbolic vertex sets over a schema, closed under exact boolean algebra.
 
-A set is the disjoint union of
-* a finite set of core vertices,
-* per single ray, a semilinear set of positions,
-* per clique, a semilinear set of indices,
-* per family, a semilinear set of *fully included* copies plus finite
-  exception sets: ``fam_plus`` holds vertices of partially included
-  copies, ``fam_minus`` holds the finitely many holes inside included
-  ray-family copies.
+A set is stored as three things:
 
-Canonical form: for finite patterns, partially included copies always use
-``fam_plus`` (so ``fam_whole`` names exactly the full copies); for ray
-families an included copy missing finitely many positions stays in
-``fam_whole`` with the holes in ``fam_minus``.  Membership precedence is
-plus > minus > whole.  Equality of canonical forms decides set equality.
+* ``core``, the finite set of its core vertices;
+* ``slots``, one index set per slot, sorted by key, empty slots left out.
+  The slots are ``("ray", R)`` (positions of ray R), ``("cliq", K)``
+  (indices of clique K), ``("fam", F, pv)`` (the copies of a
+  finite-pattern family F whose pattern vertex ``pv`` is a member) and
+  ``("fam", F)`` (the copies of a ray family F that are members
+  cofinitely);
+* ``flips``, a finite set of ray-family vertices whose membership differs
+  from their copy's slot: ``("fam", F, i, p)`` is a member exactly when
+  ``(i in slot) != (vertex in flips)``.
+
+Every other vertex is a member exactly when its index (position, clique
+index or copy number) lies in its slot, so the form is canonical and
+equality decides set equality.  Union, intersection, difference and
+complement are one index-set operation per slot; only the flipped
+vertices are looked up one by one.
+
+The slots of one finite-pattern family differ in finitely many copies.
+The text form prints the copies in all of a family's slots (its whole
+copies) as ``fam:F{...}``, the other members of those slots and the
+flips outside their copy's slot as ``+{...}``, and the holes of whole
+ray-family copies as ``-{...}``.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .semilinear import SemilinearSet
-from .schema import SchemaGraph, Vertex, vertex_sort_key, vertex_text
+from .schema import FamilySpec, SchemaGraph, Vertex, vertex_sort_key, vertex_text
 
 _EMPTY = SemilinearSet.empty()
 
 
-def _as_items(mapping) -> tuple:
-    items = mapping.items() if isinstance(mapping, dict) else mapping
-    return tuple(sorted((n, s) for n, s in items if not s.is_empty))
+def _fam_keys(f: FamilySpec) -> list[tuple]:
+    """A family's slots: one per pattern vertex, or one for a ray family."""
+    if f.is_ray_family:
+        return [("fam", f.name)]
+    return [("fam", f.name, pv) for pv in f.pattern_vertices()]
+
+
+def _slot_key(schema: SchemaGraph, v: Vertex) -> tuple:
+    """The slot of a non-core vertex; its index in the slot is ``v[2]``."""
+    if v[0] == "fam" and not schema.family_spec(v[1]).is_ray_family:
+        return ("fam", v[1], v[3])
+    return v[:2]
+
+
+def _holds_rays(key: tuple) -> bool:
+    """Whether a slot holds the copies of a ray family."""
+    return key[0] == "fam" and len(key) == 2
+
+
+def _flips(slots: dict, loose, inside) -> frozenset[Vertex]:
+    """The ray-family vertices of ``loose`` whose membership (lying in
+    ``inside``) differs from their copy's slot."""
+    return frozenset(v for v in loose if (v in inside) != (v[2] in slots.get(v[:2], _EMPTY)))
 
 
 @dataclass(frozen=True)
 class SymVertexSet:
     schema: SchemaGraph = field(compare=False, repr=False)
     core: frozenset[str]
-    ray_pos: tuple[tuple[str, SemilinearSet], ...]
-    cliq_idx: tuple[tuple[str, SemilinearSet], ...]
-    fam_whole: tuple[tuple[str, SemilinearSet], ...]
-    fam_plus: frozenset[Vertex]
-    fam_minus: frozenset[Vertex]
+    slots: tuple[tuple[tuple, SemilinearSet], ...]
+    flips: frozenset[Vertex]
 
     # -- construction ----------------------------------------------------
+
+    @classmethod
+    def _build(cls, schema: SchemaGraph, core, slots: dict, flips) -> "SymVertexSet":
+        slots = sorted((k, s) for k, s in slots.items() if not s.is_empty)
+        return cls(schema, frozenset(core), tuple(slots), frozenset(flips))
 
     @classmethod
     def make(
@@ -56,92 +88,50 @@ class SymVertexSet:
         fam_plus=(),
         fam_minus=(),
     ) -> "SymVertexSet":
-        core = frozenset(core)
-        whole = dict(_as_items(fam_whole))
-        plus = set(fam_plus)
-        minus = set(fam_minus)
+        """Core vertices, ray positions, clique indices and whole family
+        copies by name, with the family vertices of ``fam_plus`` added and
+        those of ``fam_minus`` removed."""
+        plus, minus = frozenset(fam_plus), frozenset(fam_minus)
         if plus & minus:
             raise ValueError("fam_plus and fam_minus overlap")
-        # drop redundant exceptions
-        plus = {v for v in plus if v[2] not in whole.get(v[1], _EMPTY)}
-        minus = {v for v in minus if v[2] in whole.get(v[1], _EMPTY)}
-        # canonicalise per family
-        for f in schema.families:
-            name = f.name
-            w = whole.get(name, _EMPTY)
-            if f.is_ray_family:
-                # full-copy promotion impossible (copies are infinite)
-                continue
-            pvs = set(f.pattern.vertices)
-            # demote whole copies with holes to plus representation
-            holed = {v[2] for v in minus if v[1] == name}
-            for i in sorted(holed):
-                copy_minus = {v for v in minus if v[1] == name and v[2] == i}
-                minus -= copy_minus
-                w = w - SemilinearSet.of(i)
-                plus |= {("fam", name, i, pv) for pv in pvs} - {
-                    ("fam", name, i, pv) for pv in (v[3] for v in copy_minus)
-                }
-            # promote plus copies that are complete
-            by_copy: dict[int, set] = {}
-            for v in plus:
-                if v[1] == name:
-                    by_copy.setdefault(v[2], set()).add(v[3])
-            for i, got in by_copy.items():
-                if got == pvs:
-                    w = w | SemilinearSet.of(i)
-                    plus -= {("fam", name, i, pv) for pv in pvs}
-            if w.is_empty:
-                whole.pop(name, None)
+        slots = {("ray", n): s for n, s in dict(ray_pos).items()}
+        slots |= {("cliq", n): s for n, s in dict(cliq_idx).items()}
+        for n, s in dict(fam_whole).items():
+            slots |= dict.fromkeys(_fam_keys(schema.family_spec(n)), s)
+        loose, edits = set(), {}
+        for v in plus | minus:
+            key = _slot_key(schema, v)
+            if _holds_rays(key):
+                loose.add(v)
             else:
-                whole[name] = w
-        return cls(
-            schema,
-            core,
-            _as_items(ray_pos),
-            _as_items(cliq_idx),
-            _as_items(whole),
-            frozenset(plus),
-            frozenset(minus),
-        )
+                edits.setdefault(key, ([], []))[v in minus].append(v[2])
+        for key, (add, drop) in edits.items():
+            got = slots.get(key, _EMPTY) | SemilinearSet.make(add)
+            slots[key] = got - SemilinearSet.make(drop)
+        return cls._build(schema, core, slots, _flips(slots, loose, plus))
 
     @classmethod
     def empty(cls, schema: SchemaGraph) -> "SymVertexSet":
-        return cls.make(schema)
+        return cls(schema, frozenset(), (), frozenset())
 
     @classmethod
     def all_vertices(cls, schema: SchemaGraph) -> "SymVertexSet":
-        nat = SemilinearSet.naturals()
-        return cls.make(
-            schema,
-            core=schema.core.vertices,
-            ray_pos={r.name: nat for r in schema.rays},
-            cliq_idx={c.name: nat for c in schema.cliques},
-            fam_whole={f.name: nat for f in schema.families},
-        )
+        return cls.empty(schema).complement()
 
     @classmethod
     def of(cls, schema: SchemaGraph, vertices) -> "SymVertexSet":
-        core, plus = set(), set()
-        rays: dict[str, set[int]] = {}
-        cliqs: dict[str, set[int]] = {}
+        core, flips, by_slot = set(), set(), {}
         for v in schema.check_vertices(vertices):
-            match v:
-                case ("core", x):
-                    core.add(x)
-                case ("ray", n, p):
-                    rays.setdefault(n, set()).add(p)
-                case ("cliq", n, i):
-                    cliqs.setdefault(n, set()).add(i)
-                case ("fam", *_):
-                    plus.add(v)
-        return cls.make(
-            schema,
-            core=core,
-            ray_pos={n: SemilinearSet.make(ps) for n, ps in rays.items()},
-            cliq_idx={n: SemilinearSet.make(ps) for n, ps in cliqs.items()},
-            fam_plus=plus,
-        )
+            if v[0] == "core":
+                core.add(v[1])
+                continue
+            key = _slot_key(schema, v)
+            if _holds_rays(key):
+                flips.add(v)
+            else:
+                by_slot.setdefault(key, []).append(v[2])
+        slots = {k: SemilinearSet.make(ix) for k, ix in by_slot.items()}
+        return cls._build(schema, core, slots, flips)
 
     @classmethod
     def ray_tail(cls, schema: SchemaGraph, ray: str, from_pos: int) -> "SymVertexSet":
@@ -170,64 +160,56 @@ class SymVertexSet:
     # -- lookups ---------------------------------------------------------
 
     @cached_property
-    def _ray(self) -> dict[str, SemilinearSet]:
-        return dict(self.ray_pos)
+    def _slot(self) -> dict[tuple, SemilinearSet]:
+        return dict(self.slots)
 
     @cached_property
-    def _cliq(self) -> dict[str, SemilinearSet]:
-        return dict(self.cliq_idx)
+    def _wholes(self) -> dict[str, SemilinearSet]:
+        """Each family's copies that lie in all of its slots, by name; empty
+        ones left out."""
+        out = {}
+        for n in sorted({k[1] for k, _ in self.slots if k[0] == "fam"}):
+            keys = _fam_keys(self.schema.family_spec(n))
+            w = reduce(operator.and_, (self._slot.get(k, _EMPTY) for k in keys))
+            if not w.is_empty:
+                out[n] = w
+        return out
 
     @cached_property
-    def _whole(self) -> dict[str, SemilinearSet]:
-        return dict(self.fam_whole)
+    def _exceptions(self) -> tuple[list[Vertex], list[Vertex]]:
+        """The family vertices outside whole copies, and the holes of whole
+        ray-family copies."""
+        plus, minus = [], []
+        for v in self.flips:
+            (minus if v[2] in self._slot.get(v[:2], _EMPTY) else plus).append(v)
+        for key, s in self.slots:
+            if key[0] == "fam" and not _holds_rays(key):
+                rest = s - self.whole_set(key[1])
+                plus += [("fam", key[1], i, key[2]) for i in rest.elements_below(rest.bound)]
+        return plus, minus
 
     def ray_set(self, name: str) -> SemilinearSet:
-        return self._ray.get(name, _EMPTY)
+        return self._slot.get(("ray", name), _EMPTY)
 
     def cliq_set(self, name: str) -> SemilinearSet:
-        return self._cliq.get(name, _EMPTY)
+        return self._slot.get(("cliq", name), _EMPTY)
 
     def whole_set(self, name: str) -> SemilinearSet:
-        return self._whole.get(name, _EMPTY)
+        return self._wholes.get(name, _EMPTY)
 
     def __contains__(self, v: Vertex) -> bool:
-        match v:
-            case ("core", x):
-                return x in self.core
-            case ("ray", n, p):
-                return p in self.ray_set(n)
-            case ("cliq", n, i):
-                return i in self.cliq_set(n)
-            case ("fam", n, i, _):
-                if v in self.fam_plus:
-                    return True
-                if v in self.fam_minus:
-                    return False
-                return i in self.whole_set(n)
-        return False
+        if v[0] == "core":
+            return v[1] in self.core
+        return (v[2] in self._slot.get(_slot_key(self.schema, v), _EMPTY)) != (v in self.flips)
 
     @property
     def is_empty(self) -> bool:
-        return (
-            not self.core
-            and not self.ray_pos
-            and not self.cliq_idx
-            and not self.fam_whole
-            and not self.fam_plus
-        )
+        return not self.core and not self.slots and not self.flips
 
     @property
     def is_finite(self) -> bool:
-        if any(not s.is_finite for _, s in self.ray_pos):
-            return False
-        if any(not s.is_finite for _, s in self.cliq_idx):
-            return False
-        for name, s in self.fam_whole:
-            if self.schema.family_spec(name).is_ray_family:
-                return False  # any whole ray copy is infinite
-            if not s.is_finite:
-                return False
-        return True
+        # any copy in a ray family's slot is an infinite ray
+        return all(s.is_finite and not _holds_rays(key) for key, s in self.slots)
 
     @property
     def is_infinite(self) -> bool:
@@ -235,7 +217,7 @@ class SymVertexSet:
 
     def full_copy_indices(self, fam: str) -> SemilinearSet:
         """Indices whose copy is included with no holes."""
-        holed = {v[2] for v in self.fam_minus if v[1] == fam}
+        holed = [v[2] for v in self.flips if v[1] == fam]
         w = self.whole_set(fam)
         return w - SemilinearSet.make(holed) if holed else w
 
@@ -249,14 +231,13 @@ class SymVertexSet:
             raise ValueError("sets over different schemas")
 
     def _merge(self, other: "SymVertexSet", op) -> "SymVertexSet":
-        """Apply ``op`` (``operator.or_``, ``and_`` or ``sub``) part by part."""
+        """Apply ``op`` (``operator.or_``, ``and_`` or ``sub``) slot by slot."""
         self._check(other)
-        rays = {n: op(self.ray_set(n), other.ray_set(n)) for n in _names(self, other, "ray_pos")}
-        cliqs = {n: op(self.cliq_set(n), other.cliq_set(n)) for n in _names(self, other, "cliq_idx")}
-        whole = {n: op(self.whole_set(n), other.whole_set(n)) for n in _names(self, other, "fam_whole")}
-        loose = self.fam_plus | self.fam_minus | other.fam_plus | other.fam_minus
+        a, b = self._slot, other._slot
+        slots = {k: op(a.get(k, _EMPTY), b.get(k, _EMPTY)) for k in a.keys() | b.keys()}
+        loose = self.flips | other.flips
         inside = op({v for v in loose if v in self}, {v for v in loose if v in other})
-        return _assemble(self.schema, op(self.core, other.core), rays, cliqs, whole, loose, inside)
+        return SymVertexSet._build(self.schema, op(self.core, other.core), slots, _flips(slots, loose, inside))
 
     def union(self, other: "SymVertexSet") -> "SymVertexSet":
         return self._merge(other, operator.or_)
@@ -268,17 +249,12 @@ class SymVertexSet:
         return self._merge(other, operator.sub)
 
     def complement(self) -> "SymVertexSet":
+        # complementing every slot keeps each flip a flip
         sch = self.schema
-        nat = SemilinearSet.naturals()
-        return SymVertexSet.make(
-            sch,
-            core=sch.core.vertices - self.core,
-            ray_pos={r.name: self.ray_set(r.name).complement() for r in sch.rays},
-            cliq_idx={c.name: self.cliq_set(c.name).complement() for c in sch.cliques},
-            fam_whole={f.name: (nat - self.whole_set(f.name)) for f in sch.families},
-            fam_plus=self.fam_minus,
-            fam_minus=self.fam_plus,
-        )
+        keys = [("ray", r.name) for r in sch.rays] + [("cliq", c.name) for c in sch.cliques]
+        keys += [k for f in sch.families for k in _fam_keys(f)]
+        slots = {k: self._slot.get(k, _EMPTY).complement() for k in keys}
+        return SymVertexSet._build(sch, sch.core.vertices - self.core, slots, self.flips)
 
     __or__ = union
     __and__ = intersection
@@ -296,117 +272,74 @@ class SymVertexSet:
         """All vertices; requires the set to be finite."""
         if not self.is_finite:
             raise ValueError("set is infinite")
-        out: list[Vertex] = [("core", x) for x in self.core]
-        for n, s in self.ray_pos:
-            out += [("ray", n, p) for p in s.elements_below(s.bound)]
-        for n, s in self.cliq_idx:
-            out += [("cliq", n, i) for i in s.elements_below(s.bound)]
-        for n, s in self.fam_whole:
-            f = self.schema.family_spec(n)
-            for i in s.elements_below(s.bound):
-                out += [("fam", n, i, pv) for pv in f.pattern_vertices()]
-        out += list(self.fam_plus)
+        out: list[Vertex] = [("core", x) for x in self.core] + list(self.flips)
+        for key, s in self.slots:
+            out += [key[:2] + (i,) + key[2:] for i in s.elements_below(s.bound)]
         return sorted(out, key=vertex_sort_key)
 
     def explicit_below(self, n: int) -> set[Vertex]:
         """Intersection with the depth-n truncation's vertex set."""
         out: set[Vertex] = {("core", x) for x in self.core}
-        for name, s in self.ray_pos:
-            out |= {("ray", name, p) for p in s.elements_below(n)}
-        for name, s in self.cliq_idx:
-            out |= {("cliq", name, i) for i in s.elements_below(n)}
-        for name, s in self.fam_whole:
-            f = self.schema.family_spec(name)
+        for key, s in self.slots:
             for i in s.elements_below(n):
-                if f.is_ray_family:
-                    out |= {("fam", name, i, p) for p in range(n)}
+                if _holds_rays(key):
+                    out |= {key + (i, p) for p in range(n)}
                 else:
-                    out |= {("fam", name, i, pv) for pv in f.pattern_vertices()}
-        for v in self.fam_plus:
-            f = self.schema.family_spec(v[1])
-            if v[2] < n and (not f.is_ray_family or v[3] < n):
-                out.add(v)
-        out -= set(self.fam_minus)
+                    out.add(key[:2] + (i,) + key[2:])
+        out ^= {v for v in self.flips if v[2] < n and v[3] < n}
         return out
 
     def some_vertex(self) -> Vertex:
         """A deterministic representative element."""
         if self.core:
             return ("core", min(self.core))
-        if self.fam_plus:
-            return min(self.fam_plus, key=vertex_sort_key)
-        for n, s in self.ray_pos:
-            return ("ray", n, s.min_value())
-        for n, s in self.fam_whole:
+        plus, _ = self._exceptions
+        if plus:
+            return min(plus, key=vertex_sort_key)
+        for key, s in self.slots:
+            if key[0] == "ray":
+                return ("ray", key[1], s.min_value())
+        for n, w in self._wholes.items():
             f = self.schema.family_spec(n)
-            i = s.min_value()
-            if f.is_ray_family:
-                p = 0
-                while ("fam", n, i, p) in self.fam_minus:
-                    p += 1
-                return ("fam", n, i, p)
-            for pv in f.pattern_vertices():
-                return ("fam", n, i, pv)
-        for n, s in self.cliq_idx:
-            return ("cliq", n, s.min_value())
+            i = w.min_value()
+            if not f.is_ray_family:
+                return ("fam", n, i, f.pattern_vertices()[0])
+            p = 0
+            while ("fam", n, i, p) in self.flips:
+                p += 1
+            return ("fam", n, i, p)
+        for key, s in self.slots:
+            if key[0] == "cliq":
+                return ("cliq", key[1], s.min_value())
         raise ValueError("empty set")
 
     def text(self) -> str:
         bits = []
         if self.core:
             bits.append("core{" + ",".join(sorted(self.core)) + "}")
-        for n, s in self.ray_pos:
-            bits.append(f"ray:{n}{s.text()}")
-        for n, s in self.fam_whole:
-            bits.append(f"fam:{n}{s.text()}")
-        for n, s in self.cliq_idx:
-            bits.append(f"cliq:{n}{s.text()}")
-        if self.fam_plus:
-            bits.append("+{" + ",".join(sorted(map(vertex_text, self.fam_plus))) + "}")
-        if self.fam_minus:
-            bits.append("-{" + ",".join(sorted(map(vertex_text, self.fam_minus))) + "}")
+        bits += [f"ray:{k[1]}{s.text()}" for k, s in self.slots if k[0] == "ray"]
+        bits += [f"fam:{n}{w.text()}" for n, w in self._wholes.items()]
+        bits += [f"cliq:{k[1]}{s.text()}" for k, s in self.slots if k[0] == "cliq"]
+        for sign, vs in zip("+-", self._exceptions):
+            if vs:
+                bits.append(sign + "{" + ",".join(sorted(map(vertex_text, vs))) + "}")
         return " ".join(bits) if bits else "{}"
 
     def __repr__(self) -> str:
         return f"SymVertexSet({self.text()})"
 
 
-def _names(a: SymVertexSet, b: SymVertexSet, part: str) -> set[str]:
-    return {n for n, _ in getattr(a, part)} | {n for n, _ in getattr(b, part)}
-
-
-def _assemble(sch, core, rays, cliqs, whole, loose, inside) -> SymVertexSet:
-    """The set with these parts, whose vertices of ``loose`` copies are
-    members exactly when they lie in ``inside``."""
-    plus, minus = set(), set()
-    for v in loose:
-        if v[2] in whole.get(v[1], _EMPTY):
-            if v not in inside:
-                minus.add(v)
-        elif v in inside:
-            plus.add(v)
-    return SymVertexSet.make(
-        sch, core=core, ray_pos=rays, cliq_idx=cliqs, fam_whole=whole,
-        fam_plus=plus, fam_minus=minus,
-    )
-
-
 def union_all(schema: SchemaGraph, sets) -> SymVertexSet:
-    """The union of any number of sets: one n-ary index-set union per part."""
+    """The union of any number of sets: one n-ary index-set union per slot."""
     sets = list(sets)
     if any(s.schema is not schema for s in sets):
         raise ValueError("sets over different schemas")
-
-    def gather(part: str) -> dict[str, SemilinearSet]:
-        by_name: dict[str, list[SemilinearSet]] = {}
-        for s in sets:
-            for n, x in getattr(s, part):
-                by_name.setdefault(n, []).append(x)
-        return {n: SemilinearSet.union_all(xs) for n, xs in by_name.items()}
-
-    loose = frozenset().union(*(s.fam_plus | s.fam_minus for s in sets))
+    by_slot: dict[tuple, list[SemilinearSet]] = {}
+    for s in sets:
+        for k, x in s.slots:
+            by_slot.setdefault(k, []).append(x)
+    slots = {k: SemilinearSet.union_all(xs) for k, xs in by_slot.items()}
+    loose = frozenset().union(*(s.flips for s in sets))
     inside = {v for v in loose if any(v in s for s in sets)}
     core = frozenset().union(*(s.core for s in sets))
-    return _assemble(
-        schema, core, gather("ray_pos"), gather("cliq_idx"), gather("fam_whole"), loose, inside
-    )
+    return SymVertexSet._build(schema, core, slots, _flips(slots, loose, inside))

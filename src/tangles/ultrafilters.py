@@ -31,7 +31,7 @@ class LazyCore:
 
     family: str
     base: SemilinearSet  # infinite; intersection of the concentration class with all commitments
-    log: list[tuple[str, bool, bool]] = field(default_factory=list)  # (query, answer, forced)
+    log: list[tuple[SemilinearSet, bool, bool]] = field(default_factory=list)  # (trace, answer, forced)
 
     def __post_init__(self):
         if self.base.is_finite:
@@ -49,16 +49,12 @@ class LazyCore:
         else:
             answer, forced = tie_break(), False
         self.base = inside if answer else outside
-        self.log.append((trace.text(), answer, forced))
+        self.log.append((trace, answer, forced))
         return answer
-
-    def commitments(self) -> tuple[tuple[str, bool], ...]:
-        """The free choices made so far; forced answers carry no information."""
-        return tuple((q, a) for q, a, forced in self.log if not forced)
 
     def log_json(self) -> list[dict]:
         return [
-            {"trace": q, "answer": a, "forced": forced} for q, a, forced in self.log
+            {"trace": q.text(), "answer": a, "forced": forced} for q, a, forced in self.log
         ]
 
     @classmethod

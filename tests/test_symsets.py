@@ -6,11 +6,22 @@ from hypothesis import strategies as st
 
 from tangles.builtin import EXTRAS, SUITE, load
 from tangles.sampling import random_separation
-from tangles.schema import vertex_text
+from tangles.schema import parse_schema, vertex_text
 from tangles.semilinear import SemilinearSet
 from tangles.symsets import SymVertexSet, union_all
 
 FAN = load("fan")  # core c, ray R, family T attached to c and along R
+# every kind of part: a hub, a ray, a clique, a ray family and a family
+# with a two-vertex pattern attached both to the hub and along the ray
+MIXED = parse_schema(
+    """core:
+v c
+ray R at c
+rayfam L at c
+family T pattern { v a ; v b ; e a b } attach c a attach along R b
+clique K attach c
+"""
+)
 
 sls = st.builds(
     SemilinearSet.make,
@@ -28,6 +39,24 @@ def symsets(draw):
     plus = frozenset(("fam", "T", i, "t") for (i,) in loose if i not in whole)
     return SymVertexSet.make(
         FAN, core=core, ray_pos={"R": ray}, fam_whole={"T": whole}, fam_plus=plus
+    )
+
+
+@st.composite
+def mixed_sets(draw):
+    """Sets over MIXED with partial and holed copies in both families."""
+    finite_pattern = st.tuples(st.just("T"), st.integers(0, 9), st.sampled_from("ab"))
+    ray_family = st.tuples(st.just("L"), st.integers(0, 9), st.integers(0, 9))
+    loose = st.frozensets(st.one_of(finite_pattern, ray_family).map(lambda v: ("fam", *v)), max_size=5)
+    plus, minus = draw(loose), draw(loose)
+    return SymVertexSet.make(
+        MIXED,
+        core=draw(st.frozensets(st.just("c"))),
+        ray_pos={"R": draw(sls)},
+        cliq_idx={"K": draw(sls)},
+        fam_whole={"T": draw(sls), "L": draw(sls)},
+        fam_plus=plus,
+        fam_minus=minus - plus,
     )
 
 
@@ -146,3 +175,38 @@ def test_union_all_matches_pairwise_fold(name, seed, count):
         fold = fold.union(s)
     assert union_all(schema, sets) == fold
     assert union_all(schema, sets).text() == fold.text()
+
+
+@given(mixed_sets(), mixed_sets(), mixed_sets())
+@settings(max_examples=150, deadline=None)
+def test_mixed_ops_match_pointwise_oracle(a, b, c):
+    n = 8  # below the largest drawn copy and position
+    universe = set(MIXED.vertices_below(n))
+    ea, eb, ec = (s.explicit_below(n) for s in (a, b, c))
+    assert ea <= universe
+    assert (a | b).explicit_below(n) == ea | eb
+    assert (a & b).explicit_below(n) == ea & eb
+    assert (a - b).explicit_below(n) == ea - eb
+    assert a.complement().explicit_below(n) == universe - ea
+    assert union_all(MIXED, [a, b, c]).explicit_below(n) == ea | eb | ec
+    assert all((v in a) == (v in ea) for v in universe)
+
+
+def test_mixed_text_examples():
+    partial = SymVertexSet.make(MIXED, fam_plus={("fam", "T", 3, "a")})
+    assert partial.text() == "+{fam:T:3:a}"
+    assert partial.whole_set("T").is_empty
+    holed = SymVertexSet.make(
+        MIXED, fam_whole={"L": SemilinearSet.of(2)}, fam_minus={("fam", "L", 2, 0)}
+    )
+    assert holed.text() == "fam:L{2} -{fam:L:2:0}"
+    assert holed.some_vertex() == ("fam", "L", 2, 1)
+    whole = SymVertexSet.make(
+        MIXED, fam_whole={"T": SemilinearSet.of(1, 3)}, fam_minus={("fam", "T", 3, "b")}
+    )
+    assert whole.text() == "fam:T{1} +{fam:T:3:a}"
+    assert (whole | partial) == whole
+    assert (holed | SymVertexSet.of(MIXED, [("fam", "L", 2, 0)])).text() == "fam:L{2}"
+    assert partial.complement().text() == (
+        "core{c} ray:R{0+1t} fam:L{0+1t} fam:T{0,1,2,4+1t} cliq:K{0+1t} +{fam:T:3:b}"
+    )
