@@ -1,17 +1,19 @@
 """Highly connected vertex sets: k-blocks, clique subdivisions, and their
 infinite analogues on schemas.
 
-Separability of a vertex pair is decided by minimum vertex cuts (adjacent
-pairs cannot be separated).  A k-block is a maximal set of at least k
-vertices no two of which are separated by fewer than k vertices.
+Separability of a vertex pair is decided by counting disjoint paths up to k
+(adjacent pairs cannot be separated).  A k-block is a maximal set of at least
+k vertices no two of which are separated by fewer than k vertices.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from itertools import combinations
 
 import networkx as nx
+from networkx.algorithms import connectivity, flow
 
 from .graphs import FiniteGraph
 from .schema import SchemaGraph, vertex_text
@@ -33,9 +35,21 @@ def min_separator_size(g: FiniteGraph, u: str, v: str) -> int | None:
     return len(nx.minimum_node_cut(to_networkx(g), u, v))
 
 
+@lru_cache(maxsize=1)
+def _flow_network(g: FiniteGraph) -> tuple:
+    """The graph, its vertex-split auxiliary digraph and a residual network,
+    shared by every pair check on the same graph."""
+    G = to_networkx(g)
+    H = connectivity.build_auxiliary_node_connectivity(G)
+    return G, H, flow.build_residual_network(H, "capacity")
+
+
 def pair_inseparable(g: FiniteGraph, u: str, v: str, k: int) -> bool:
-    cut = min_separator_size(g, u, v)
-    return cut is None or cut >= k
+    """Whether u and v are adjacent or joined by k internally disjoint paths."""
+    if g.has_edge(u, v):
+        return True
+    G, H, R = _flow_network(g)
+    return connectivity.local_node_connectivity(G, u, v, auxiliary=H, residual=R, cutoff=k) >= k
 
 
 def is_inseparable(g: FiniteGraph, K, k: int) -> bool:
@@ -170,10 +184,4 @@ def block_pair_check(
     name = block["clique"]
     members = [vertex_text(("cliq", name, i)) for i in range(0, min(n, 6))]
     members += [vertex_text(("core", c)) for c in block["attached_cores"]]
-    G = to_networkx(g)
-    for u, v in combinations(members, 2):
-        if G.has_edge(u, v):
-            continue
-        if len(nx.minimum_node_cut(G, u, v)) < cut_bound:
-            return False
-    return True
+    return all(pair_inseparable(g, u, v, cut_bound) for u, v in combinations(members, 2))

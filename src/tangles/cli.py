@@ -30,7 +30,7 @@ from .infinite_tangles import (
     suite_tangles,
     uf_tangle,
 )
-from .schema import SchemaGraph, parse_schema, parse_vertex, vertex_text
+from .schema import SchemaGraph, parse_level, parse_schema, parse_vertex, vertex_text
 from .semilinear import ResourceGuardError
 from .separations import parse_separation
 from .suite import run_suite
@@ -92,12 +92,6 @@ def _load_finite(path: str):
     with open(path) as fh:
         text = fh.read()
     return parse_finite(text), _digest(text)
-
-
-def _parse_level(schema: SchemaGraph, text: str) -> frozenset:
-    if not text:
-        return frozenset()
-    return frozenset(parse_vertex(schema, t.strip()) for t in text.split(",") if t.strip())
 
 
 def _find_tangle(schema: SchemaGraph, tid: str):
@@ -214,7 +208,7 @@ def _dispatch(args) -> int:
 
     if args.cmd == "uf":
         schema, digest = _load_schema(args.schema)
-        X = _parse_level(schema, args.at)
+        X = parse_level(schema, args.at)
         cs = components(schema, X)
         if args.kind == "lazy":
             u = lazy_on(cs)

@@ -6,18 +6,22 @@ bipartition) pairs, which is exhaustive because every component of the
 graph minus the separator lies wholly on one side.  An orientation is a
 tangle when no one-, two- or three-element multiset drawn from it covers
 the whole graph with its left sides.
+
+Each oriented separation (A, B) is one Python int with a bit per vertex of
+A and per edge inside A: a multiset covers exactly when the OR of its masks
+is full, and the separation order is two subset tests.  The searches are
+iterative depth-first scans whose guard counts mask tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, takewhile
-
-import numpy as np
+from itertools import combinations, product, takewhile
 
 from .semilinear import ResourceGuardError
 
-DEFAULT_GUARD = 2**25
+DEFAULT_GUARD = 2**27  # mask tests per search
+MAX_COMPONENTS = 20  # components behind one separator; 2**20 bipartitions
 
 OrientedPair = tuple[frozenset, frozenset]
 
@@ -26,7 +30,7 @@ def _key(s: frozenset) -> tuple:
     return (len(s), tuple(sorted(s)))
 
 
-def separations_below_order(g, k: int, max_components: int = 20) -> list[OrientedPair]:
+def separations_below_order(g, k: int) -> list[OrientedPair]:
     """All unordered separations {A, B} of order < k, as canonical pairs.
 
     The pair is ordered so that the lexicographically smaller side comes
@@ -40,7 +44,7 @@ def separations_below_order(g, k: int, max_components: int = 20) -> list[Oriente
         for xs in combinations(verts, size):
             X = frozenset(xs)
             comps = g.components(removed=X)
-            if len(comps) > max_components:
+            if len(comps) > MAX_COMPONENTS:
                 raise ResourceGuardError(
                     f"{len(comps)} components behind a separator; bipartition scan too large"
                 )
@@ -55,7 +59,8 @@ def separations_below_order(g, k: int, max_components: int = 20) -> list[Oriente
 
 @dataclass
 class _Search:
-    """Shared precomputation for orientation scans over one (graph, k)."""
+    """Shared precomputation for orientation scans over one (graph, k): ``a[o]``
+    masks the A-side of oriented separation o and ``a[inv[o]]`` its B-side."""
 
     g: object
     k: int
@@ -63,134 +68,121 @@ class _Search:
     def __post_init__(self):
         g = self.g
         self.seps = separations_below_order(g, self.k)
-        self.vidx = {v: i for i, v in enumerate(sorted(g.vertices))}
-        self.eidx = {e: i for i, e in enumerate(sorted(g.edges))}
-        self.full_v = (1 << len(self.vidx)) - 1
-        self.full_e = (1 << len(self.eidx)) - 1
-        oriented: list[OrientedPair] = []
+        bit = {v: 1 << i for i, v in enumerate(sorted(g.vertices))}
+        # (mask of both ends, bit of the edge) for every edge
+        ends = [(bit[u] | bit[v], 1 << (len(bit) + j)) for j, (u, v) in enumerate(sorted(g.edges))]
+        self.full = (1 << (len(bit) + len(ends))) - 1
+
+        def mask(side) -> int:
+            m = sum(bit[v] for v in side)
+            return m | sum(e for uv, e in ends if m & uv == uv)
+
+        self.oriented: list[OrientedPair] = []
         self.base: list[tuple[int, ...]] = []
         for A, B in self.seps:
-            if A == B:
-                self.base.append((len(oriented),))
-                oriented.append((A, B))
-            else:
-                self.base.append((len(oriented), len(oriented) + 1))
-                oriented.append((A, B))
-                oriented.append((B, A))
-        self.oriented = oriented
-        n = len(oriented)
-        self.inv = [
-            self.base[i][1 - w] if len(self.base[i]) == 2 else self.base[i][0]
-            for i in range(len(self.seps))
-            for w in range(len(self.base[i]))
-        ]
-        self.va = [self._vmask(A) for A, _ in oriented]
-        self.vb = [self._vmask(B) for _, B in oriented]
-        self.ea = [self._emask(A) for A, _ in oriented]
-        # leq[x][y]: sides of x below sides of y in the separation order
-        self.leq = [
-            [
-                (self.va[x] & ~self.va[y]) == 0 and (self.vb[y] & ~self.vb[x]) == 0
-                for y in range(n)
-            ]
-            for x in range(n)
-        ]
-        # toward[x][y]: x points towards y (x <= inverse of y)
-        self.toward = [[self.leq[x][self.inv[y]] for y in range(n)] for x in range(n)]
-
-    def _vmask(self, s) -> int:
-        m = 0
-        for v in s:
-            m |= 1 << self.vidx[v]
-        return m
-
-    def _emask(self, s) -> int:
-        m = 0
-        for e in self.eidx:
-            if e[0] in s and e[1] in s:
-                m |= 1 << self.eidx[e]
-        return m
+            o = len(self.oriented)
+            self.oriented += [(A, B)] if A == B else [(A, B), (B, A)]
+            self.base.append(tuple(range(o, len(self.oriented))))
+        self.inv = [o for b in self.base for o in reversed(b)]
+        self.a = [mask(A) for A, _ in self.oriented]
 
     def covers(self, *os) -> bool:
-        v = e = 0
+        m = 0
         for o in os:
-            v |= self.va[o]
-            e |= self.ea[o]
-        return v == self.full_v and e == self.full_e
+            m |= self.a[o]
+        return m == self.full
 
-    def inconsistent_pair(self, x: int, y: int) -> bool:
-        ix, iy = self.inv[x], self.inv[y]
-        return (self.leq[ix][y] and ix != y) or (self.leq[iy][x] and iy != x)
+    def toward(self, x: int, y: int) -> bool:
+        """x points towards y: A_x lies in B_y and A_y in B_x (symmetric)."""
+        a, inv = self.a, self.inv
+        return a[x] & ~a[inv[y]] == 0 and a[y] & ~a[inv[x]] == 0
 
-    def _violates(self, chosen: list[int], o: int, star_only: bool) -> bool:
-        """Does adding o create a forbidden covering multiset of size <= 3?"""
+    def star_refusal(self, chosen: list[int], o: int) -> tuple[bool, int]:
+        """(refused, mask tests spent) for adding o in the star-only search: o is
+        inconsistent with a chosen member, or covers the graph alone or with one
+        or two chosen members that pairwise point towards each other and o."""
+        a, inv, full = self.a, self.inv, self.full
+        ao, bo = a[o], a[inv[o]]
+        star = []
+        for j, c in enumerate(chosen):
+            if bo & ~a[c] == 0 and a[inv[c]] & ~ao == 0:
+                return True, j + 1
+            if self.toward(o, c):
+                star.append(c)
+        tests = len(chosen) + 1
         if self.covers(o):
-            return True
-        for c in chosen + [o]:
-            if star_only and not self.toward[o][c] and c != o:
-                continue
+            return True, tests
+        for j, c in enumerate(star):
+            tests += j + 1
             if self.covers(o, c):
-                return True
-        for c1, c2 in combinations(chosen + [o], 2):
-            if star_only and not (
-                (self.toward[o][c1] or c1 == o)
-                and (self.toward[o][c2] or c2 == o)
-                and (self.toward[c1][c2] or c1 == c2)
-            ):
-                continue
-            if self.covers(o, c1, c2):
-                return True
-        return False
+                return True, tests
+            u = ao | a[c]
+            if any(u | a[d] == full and self.toward(c, d) for d in star[:j]):
+                return True, tests
+        return False, tests
 
-    def search(self, star_only: bool, consistency: bool, guard: int = DEFAULT_GUARD):
-        """DFS over orientations, pruning forbidden configurations."""
-        n = len(self.seps)
+    def search(self, star_only: bool, guard: int = DEFAULT_GUARD):
+        """DFS over orientations, refusing choices that complete a forbidden cover.
+
+        The tangle search refuses o when ``a[o] | u`` is full for some u in
+        ``unions`` (0, the chosen masks and their pairwise unions); this implies
+        consistency, since inv(x) <= y makes A_x | A_y contain A_x | B_x = V.
+        """
+        a, full, n = self.a, self.full, len(self.seps)
+        levels = self.base + [()]  # the empty level closes a full orientation
         chosen: list[int] = []
-        nodes = 0
-
-        def rec(i: int):
-            nonlocal nodes
-            if i == n:
+        unions = [0]  # distinct, so seen holds exactly its members
+        seen = {0}
+        marks: list[int] = []  # len(unions) before each choice
+        tests = 0
+        stack = [iter(levels[0])]
+        while stack:
+            o = next(stack[-1], None)
+            if o is None:
+                stack.pop()
+                if chosen:
+                    chosen.pop()
+                    m = marks.pop()
+                    seen.difference_update(unions[m:])
+                    del unions[m:]
+                continue
+            if star_only:
+                refused, spent = self.star_refusal(chosen, o)
+            else:
+                ao = a[o]
+                refused, spent = any(ao | u == full for u in unions), len(unions)
+            tests += spent
+            if tests > guard:
+                raise ResourceGuardError("orientation search exceeded guard")
+            if refused:
+                continue
+            marks.append(len(unions))
+            if not star_only:
+                fresh = {ao, *(ao | a[c] for c in chosen)} - seen
+                seen |= fresh
+                unions += fresh
+            chosen.append(o)
+            if len(chosen) == n:
                 yield tuple(chosen)
-                return
-            for o in self.base[i]:
-                nodes += 1
-                if nodes > guard:
-                    raise ResourceGuardError("orientation search exceeded guard")
-                if consistency and any(self.inconsistent_pair(o, c) for c in chosen):
-                    continue
-                if self._violates(chosen, o, star_only):
-                    continue
-                chosen.append(o)
-                yield from rec(i + 1)
-                chosen.pop()
-
-        yield from rec(0)
+            stack.append(iter(levels[len(chosen)]))
 
     def to_pairs(self, chosen) -> frozenset:
         return frozenset(self.oriented[o] for o in chosen)
 
     def full_cover_free(self, chosen) -> bool:
-        """Exact covering-multiset check over all triples, vectorised."""
-        va = np.array([self.va[o] for o in chosen], dtype=np.uint64)
-        ea = np.array([self.ea[o] for o in chosen], dtype=np.uint64)
-        if self.full_v >= 2**63 or self.full_e >= 2**63:
-            raise ResourceGuardError("graph too large for vectorised cover check")
-        pv = va[:, None] | va[None, :]
-        pe = ea[:, None] | ea[None, :]
-        for j in range(len(chosen)):
-            hit = ((pv | va[j]) == np.uint64(self.full_v)) & (
-                (pe | ea[j]) == np.uint64(self.full_e)
-            )
-            if hit.any():
-                return False
-        return True
+        """Exact covering-multiset check over all triples; a pair union cannot
+        be completed by any mask when it misses more bits than the largest has."""
+        full = self.full
+        masks = {self.a[o] for o in chosen}
+        pairs = {x | y for x, y in combinations(masks, 2)} | masks
+        short = full.bit_length() - max(x.bit_count() for x in masks)
+        return not any(p | x == full for p in pairs if p.bit_count() >= short for x in masks)
 
 
 def enumerate_tangles(g, k: int, guard: int = DEFAULT_GUARD) -> list[frozenset]:
     """All order-k tangles, each a frozenset of oriented (A, B) pairs."""
     s = _Search(g, k)
-    return [s.to_pairs(c) for c in s.search(star_only=False, consistency=True, guard=guard)]
+    return [s.to_pairs(c) for c in s.search(star_only=False, guard=guard)]
 
 
 def count_tangles(g, k: int, guard: int = DEFAULT_GUARD) -> int:
@@ -217,18 +209,7 @@ def enumerate_tangles_by_scan(g, k: int, limit: int = 12) -> list[frozenset]:
     s = _Search(g, k)
     if len(s.seps) > limit:
         raise ResourceGuardError(f"{len(s.seps)} separations is too many for a full scan")
-    out = []
-
-    def rec(i, chosen):
-        if i == len(s.seps):
-            if s.full_cover_free(chosen):
-                out.append(s.to_pairs(chosen))
-            return
-        for o in s.base[i]:
-            rec(i + 1, chosen + [o])
-
-    rec(0, [])
-    return out
+    return [s.to_pairs(c) for c in product(*s.base) if s.full_cover_free(c)]
 
 
 def check_star_reduction(g, k: int, guard: int = DEFAULT_GUARD) -> dict:
@@ -239,9 +220,9 @@ def check_star_reduction(g, k: int, guard: int = DEFAULT_GUARD) -> dict:
     s = _Search(g, k)
     checked = 0
     counterexamples = []
-    for chosen in s.search(star_only=True, consistency=True, guard=guard):
+    for chosen in s.search(star_only=True, guard=guard):
         checked += 1
-        if not s.full_cover_free(list(chosen)):
+        if not s.full_cover_free(chosen):
             counterexamples.append(sorted(map(sorted, s.to_pairs(chosen))))
     return {
         "check": "star-cover reduction",

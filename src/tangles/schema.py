@@ -364,6 +364,16 @@ def parse_vertex(schema: SchemaGraph, text: str) -> Vertex:
     return v
 
 
+def parse_level(schema: SchemaGraph, text: str) -> frozenset[Vertex]:
+    """A finite level from comma-separated vertex texts; blank entries are skipped."""
+    return frozenset(parse_vertex(schema, t.strip()) for t in text.split(",") if t.strip())
+
+
+def level_text(X) -> str:
+    """``X={...}`` with the level's vertex texts in canonical order."""
+    return "X={" + ",".join(vertex_text(v) for v in sorted(X, key=vertex_sort_key)) + "}"
+
+
 # -- DSL parser -------------------------------------------------------------
 
 

@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .components import ComponentSelection, components
-from .schema import SchemaGraph, Vertex, parse_vertex, vertex_sort_key, vertex_text
+from .schema import SchemaGraph, Vertex, level_text, parse_level
 from .symsets import SymVertexSet
 
 
@@ -91,8 +91,7 @@ class OrientedSeparation:
     # -- text ----------------------------------------------------------------
 
     def text(self) -> str:
-        xs = ",".join(vertex_text(v) for v in sorted(self.X, key=vertex_sort_key))
-        return f"sep X={{{xs}}} B={self.toB.text()}"
+        return f"sep {level_text(self.X)} B={self.toB.text()}"
 
     def __repr__(self) -> str:
         return f"OrientedSeparation({self.text()})"
@@ -164,10 +163,7 @@ def parse_separation(schema: SchemaGraph, text: str) -> OrientedSeparation:
     m = _SEP_RE.match(text.strip())
     if not m:
         raise ValueError(f"bad separation text {text!r}")
-    xs_body, sel_body = m.group(1), m.group(2)
-    X = frozenset(
-        parse_vertex(schema, t.strip()) for t in xs_body.split(",") if t.strip()
-    )
+    X = parse_level(schema, m.group(1))
     cs = components(schema, X)
-    toB = ComponentSelection.parse(cs, sel_body)
+    toB = ComponentSelection.parse(cs, m.group(2))
     return OrientedSeparation(schema, X, toB)

@@ -11,6 +11,7 @@ kernel (the intersection of all its members' far sides) is infinite.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .components import ComponentSelection, components
@@ -23,7 +24,7 @@ from .infinite_tangles import (
     limit_from,
     tangle_from_limit,
 )
-from .schema import SchemaGraph, Vertex, vertex_sort_key, vertex_text
+from .schema import SchemaGraph, Vertex, level_text, parse_level, vertex_text
 from .semilinear import SemilinearSet
 from .separations import OrientedSeparation, from_bipartition
 from .symsets import SymVertexSet
@@ -69,8 +70,7 @@ class BasicOpen:
         raise ValueError(f"bad point {point!r}")
 
     def text(self) -> str:
-        xs = ",".join(vertex_text(v) for v in sorted(self.level, key=vertex_sort_key))
-        return f"open X={{{xs}}} C={self.selection.text()}"
+        return f"open {level_text(self.level)} C={self.selection.text()}"
 
 
 def basic_open(schema: SchemaGraph, X, selection: ComponentSelection) -> BasicOpen:
@@ -81,17 +81,14 @@ def basic_open(schema: SchemaGraph, X, selection: ComponentSelection) -> BasicOp
     return BasicOpen(X, selection)
 
 
-def parse_basic_open(schema: SchemaGraph, text: str) -> BasicOpen:
-    import re
+_OPEN_RE = re.compile(r"^open X=\{(.*?)\} C=(\{.*\})$")
 
-    m = re.match(r"^open X=\{(.*?)\} C=(\{.*\})$", text.strip())
+
+def parse_basic_open(schema: SchemaGraph, text: str) -> BasicOpen:
+    m = _OPEN_RE.match(text.strip())
     if not m:
         raise ValueError(f"bad open set text {text!r}")
-    from .schema import parse_vertex
-
-    X = frozenset(
-        parse_vertex(schema, t.strip()) for t in m.group(1).split(",") if t.strip()
-    )
+    X = parse_level(schema, m.group(1))
     cs = components(schema, X)
     return BasicOpen(X, ComponentSelection.parse(cs, m.group(2)))
 

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from itertools import combinations
+
 import pytest
 
 from tangles.finite_tangles import (
     ResourceGuardError,
+    _Search,
     check_join_closure,
     check_star_reduction,
     connected_graphs_up_to,
@@ -11,7 +17,7 @@ from tangles.finite_tangles import (
     is_tangle,
     separations_below_order,
 )
-from tangles.graphs import complete_graph, cycle_graph, grid_graph, path_graph
+from tangles.graphs import complete_graph, cycle_graph, from_edges, grid_graph, path_graph
 
 
 def test_separation_enumeration_k2():
@@ -63,15 +69,28 @@ def test_k2_tangle_explicitly():
 
 
 def test_scan_agrees_with_dfs():
+    # every connected graph of at most 5 vertices whose separations the
+    # unpruned scan can afford: 71 cases, 61 of them with tangles
+    atlas = [
+        (g, k)
+        for g in connected_graphs_up_to(5)
+        for k in (1, 2, 3, 4)
+        if len(separations_below_order(g, k)) <= 12
+    ]
+    assert len(atlas) == 71
+    with_tangles = 0
     for g, k in [
         (complete_graph(3), 3),
         (path_graph(4), 2),
         (cycle_graph(4), 2),
         (complete_graph(4), 2),
-    ]:
-        assert {frozenset(t) for t in enumerate_tangles(g, k)} == {
+    ] + atlas:
+        found = enumerate_tangles(g, k)
+        assert {frozenset(t) for t in found} == {
             frozenset(t) for t in enumerate_tangles_by_scan(g, k)
         }
+        with_tangles += bool(found)
+    assert with_tangles == 4 - 1 + 61  # K3 at order 3 has none
 
 
 def test_tangles_contain_small_separations():
@@ -134,6 +153,33 @@ def test_resource_guard():
         enumerate_tangles(grid_graph(3, 3), 3, guard=10)
     with pytest.raises(ResourceGuardError):
         enumerate_tangles_by_scan(grid_graph(3, 3), 3)
+    # K1,12 has 2,061 separations at order 2: the search stops at the guard,
+    # whatever depth it has reached
+    star = from_edges([("c", f"l{i}") for i in range(12)])
+    with pytest.raises(ResourceGuardError):
+        count_tangles(star, 2, guard=10**5)
+
+
+def test_star_test_refuses_exactly_covering_stars():
+    # the star-cover reduction says something only if the star search lets
+    # through covering triples that are not stars
+    s = _Search(cycle_graph(5), 3)
+    kinds = set()
+    for o, c, d in combinations(range(len(s.a)), 3):
+        if s.covers(o, c, d) and not any(s.covers(x, y) for x, y in [(o, c), (o, d), (c, d)]):
+            star = s.toward(o, c) and s.toward(o, d) and s.toward(c, d)
+            assert s.star_refusal([c, d], o)[0] == star
+            kinds.add(star)
+    assert kinds == {True, False}
+
+
+def test_oracle_imports_without_numpy():
+    code = "import sys, tangles.finite_tangles; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.stdout.strip() == "False", proc.stderr
 
 
 def test_consistency_of_enumerated_tangles():
