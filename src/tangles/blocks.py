@@ -2,8 +2,10 @@
 infinite analogues on schemas.
 
 Separability of a vertex pair is decided by counting disjoint paths up to k
-(adjacent pairs cannot be separated).  A k-block is a maximal set of at least
-k vertices no two of which are separated by fewer than k vertices.
+(adjacent pairs cannot be separated; a nonadjacent pair with an end of degree
+below k is separated by that end's neighbourhood).  A k-block is a maximal
+set of at least k vertices no two of which are separated by fewer than k
+vertices.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ def pair_inseparable(g: FiniteGraph, u: str, v: str, k: int) -> bool:
     """Whether u and v are adjacent or joined by k internally disjoint paths."""
     if g.has_edge(u, v):
         return True
+    if min(g.degree(u), g.degree(v)) < k:  # N(u) separates u from v
+        return False
     G, H, R = _flow_network(g)
     return connectivity.local_node_connectivity(G, u, v, auxiliary=H, residual=R, cutoff=k) >= k
 

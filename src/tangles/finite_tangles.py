@@ -9,18 +9,31 @@ the whole graph with its left sides.
 
 Each oriented separation (A, B) is one Python int with a bit per vertex of
 A and per edge inside A: a multiset covers exactly when the OR of its masks
-is full, and the separation order is two subset tests.  The searches are
-iterative depth-first scans whose guard counts mask tests.
+is full, and the separation order is two subset tests.  Transposed, every
+bit b of the graph has a row ``holders[b]``, one int with a bit per oriented
+separation whose A-side has b, so ``above(m, within)``, the ids in the
+bitset ``within`` whose A-side contains mask m, is one AND per bit of m and
+stops at 0.
+
+The searches are iterative depth-first scans that keep the chosen ids as one
+bitset C.  The tangle search refuses o when ``above`` finds in C one or two
+members completing o's cover.  The star search builds per oriented
+separation a row of the ids pointing towards it and a row of those
+inconsistent with it, and looks for covers only among the members of C that
+point towards o.  The guard counts ANDs, the row build included; one costs
+about 0.5-0.7 us in CPython 3.11 on graphs with up to ~10^4 oriented
+separations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product, takewhile
 
 from .semilinear import ResourceGuardError
 
-DEFAULT_GUARD = 2**27  # mask tests per search
+DEFAULT_GUARD = 2**23  # ANDs per search, about 0.5-0.7 us each
 MAX_COMPONENTS = 20  # components behind one separator; 2**20 bipartitions
 
 OrientedPair = tuple[frozenset, frozenset]
@@ -57,10 +70,28 @@ def separations_below_order(g, k: int) -> list[OrientedPair]:
     return sorted(out, key=lambda ab: (len(ab[0] & ab[1]), _key(ab[0]), _key(ab[1])))
 
 
+def _ids(x: int):
+    """The positions of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _holders(masks: list[int], width: int) -> list[int]:
+    """rows[b] is the bitset of the indices i whose masks[i] has bit b."""
+    # transpose the masks' binary digits: column j of the text is bit
+    # width - 1 - j, and its first character belongs to the last mask
+    text = [bin(m | 1 << width)[3:] for m in reversed(masks)]
+    return [int("".join(col), 2) for col in reversed(list(zip(*text)))]
+
+
 @dataclass
 class _Search:
     """Shared precomputation for orientation scans over one (graph, k): ``a[o]``
-    masks the A-side of oriented separation o and ``a[inv[o]]`` its B-side."""
+    masks the A-side of oriented separation o and ``a[inv[o]]`` its B-side;
+    ``holders[b]`` is the bitset of the ids o whose A-side has bit b.  ``spent``
+    counts the ANDs of the running search, which stops beyond ``guard``."""
 
     g: object
     k: int
@@ -71,7 +102,9 @@ class _Search:
         bit = {v: 1 << i for i, v in enumerate(sorted(g.vertices))}
         # (mask of both ends, bit of the edge) for every edge
         ends = [(bit[u] | bit[v], 1 << (len(bit) + j)) for j, (u, v) in enumerate(sorted(g.edges))]
-        self.full = (1 << (len(bit) + len(ends))) - 1
+        width = len(bit) + len(ends)
+        self.full = (1 << width) - 1
+        self.vertex_bits = (1 << len(bit)) - 1
 
         def mask(side) -> int:
             m = sum(bit[v] for v in side)
@@ -85,6 +118,42 @@ class _Search:
             self.base.append(tuple(range(o, len(self.oriented))))
         self.inv = [o for b in self.base for o in reversed(b)]
         self.a = [mask(A) for A, _ in self.oriented]
+        self.holders = _holders(self.a, width)
+        self.guard, self.spent = DEFAULT_GUARD, 0
+
+    def meet(self, rows: list[int], m: int, within: int) -> int:
+        """``within`` ANDed with rows[b] for each bit b of m, stopping at 0;
+        each AND is one unit of the guard."""
+        spent = self.spent
+        while m and within:
+            low = m & -m
+            within &= rows[low.bit_length() - 1]
+            m ^= low
+            spent += 1
+        if spent > self.guard:
+            raise ResourceGuardError("orientation search exceeded guard")
+        self.spent = spent
+        return within
+
+    def above(self, m: int, within: int) -> int:
+        """The ids in ``within`` whose A-side contains mask m."""
+        return self.meet(self.holders, m, within)
+
+    @cached_property
+    def rows(self) -> tuple[list[int], list[int]]:
+        """(tow, inc): tow[x] holds the ids y pointing towards x (A_x in B_y and
+        A_y in B_x), inc[x] those inconsistent with x (B_x in A_y and B_y in A_x).
+        The vertex bits decide these inclusions, since a side's mask holds
+        every edge with both ends in it."""
+        a, v, ids = self.a, self.vertex_bits, range(len(self.a))
+        b = [a[i] & v for i in self.inv]
+        every = (1 << len(a)) - 1
+        b_holders = _holders(b, v.bit_length())
+        a_lacks = [every ^ h for h in self.holders[: v.bit_length()]]
+        b_lacks = [every ^ h for h in b_holders]
+        tow = [self.meet(b_holders, a[x] & v, self.meet(a_lacks, v ^ b[x], every)) for x in ids]
+        inc = [self.above(b[x], self.meet(b_lacks, v & ~a[x], every)) for x in ids]
+        return tow, inc
 
     def covers(self, *os) -> bool:
         m = 0
@@ -97,71 +166,62 @@ class _Search:
         a, inv = self.a, self.inv
         return a[x] & ~a[inv[y]] == 0 and a[y] & ~a[inv[x]] == 0
 
-    def star_refusal(self, chosen: list[int], o: int) -> tuple[bool, int]:
-        """(refused, mask tests spent) for adding o in the star-only search: o is
-        inconsistent with a chosen member, or covers the graph alone or with one
-        or two chosen members that pairwise point towards each other and o."""
-        a, inv, full = self.a, self.inv, self.full
-        ao, bo = a[o], a[inv[o]]
-        star = []
-        for j, c in enumerate(chosen):
-            if bo & ~a[c] == 0 and a[inv[c]] & ~ao == 0:
-                return True, j + 1
-            if self.toward(o, c):
-                star.append(c)
-        tests = len(chosen) + 1
-        if self.covers(o):
-            return True, tests
-        for j, c in enumerate(star):
-            tests += j + 1
-            if self.covers(o, c):
-                return True, tests
-            u = ao | a[c]
-            if any(u | a[d] == full and self.toward(c, d) for d in star[:j]):
-                return True, tests
-        return False, tests
+    def tangle_refused(self, C: int, o: int) -> bool:
+        """o covers the graph alone or with one or two members of the chosen
+        bitset C.  This implies consistency, since inv(x) <= y makes
+        A_x | A_y contain A_x | B_x = V."""
+        a, above = self.a, self.above
+        miss = self.full ^ a[o]
+        # a member c of a covering pair or triple holds the lowest bit o
+        # misses; the pair is the triple (o, c, c)
+        return not miss or any(above(miss & ~a[c], C) for c in _ids(above(miss & -miss, C)))
+
+    def star_refused(self, C: int, o: int) -> bool:
+        """o is inconsistent with a member of the chosen bitset C, or covers the
+        graph alone or with one or two members that pairwise point towards each
+        other and o."""
+        a, above = self.a, self.above
+        tow, inc = self.rows
+        miss, S = self.full ^ a[o], tow[o] & C
+        self.spent += 2  # the rows of o ANDed with C
+        if inc[o] & C or not miss or above(miss, S):
+            return True
+        for c in _ids(above(miss & -miss, S)):
+            self.spent += 1  # S & tow[c]
+            if above(miss & ~a[c], S & tow[c]):
+                return True
+        return False
+
+    def star_refusal(self, chosen, o: int) -> tuple[bool, int]:
+        """(refused, units spent) for adding o to the ids ``chosen`` in the
+        star-only search."""
+        spent = self.spent
+        refused = self.star_refused(sum(1 << c for c in set(chosen)), o)
+        return refused, self.spent - spent
 
     def search(self, star_only: bool, guard: int = DEFAULT_GUARD):
-        """DFS over orientations, refusing choices that complete a forbidden cover.
-
-        The tangle search refuses o when ``a[o] | u`` is full for some u in
-        ``unions`` (0, the chosen masks and their pairwise unions); this implies
-        consistency, since inv(x) <= y makes A_x | A_y contain A_x | B_x = V.
-        """
-        a, full, n = self.a, self.full, len(self.seps)
+        """DFS over orientations, refusing choices that complete a forbidden
+        cover; the chosen ids are also kept as one bitset C."""
+        self.guard, self.spent = guard, 0
+        refused = self.star_refused if star_only else self.tangle_refused
+        if star_only:
+            self.rows  # built, and counted, before the first choice
+        n = len(self.seps)
         levels = self.base + [()]  # the empty level closes a full orientation
         chosen: list[int] = []
-        unions = [0]  # distinct, so seen holds exactly its members
-        seen = {0}
-        marks: list[int] = []  # len(unions) before each choice
-        tests = 0
+        C = 0
         stack = [iter(levels[0])]
         while stack:
             o = next(stack[-1], None)
             if o is None:
                 stack.pop()
                 if chosen:
-                    chosen.pop()
-                    m = marks.pop()
-                    seen.difference_update(unions[m:])
-                    del unions[m:]
+                    C ^= 1 << chosen.pop()
                 continue
-            if star_only:
-                refused, spent = self.star_refusal(chosen, o)
-            else:
-                ao = a[o]
-                refused, spent = any(ao | u == full for u in unions), len(unions)
-            tests += spent
-            if tests > guard:
-                raise ResourceGuardError("orientation search exceeded guard")
-            if refused:
+            if refused(C, o):
                 continue
-            marks.append(len(unions))
-            if not star_only:
-                fresh = {ao, *(ao | a[c] for c in chosen)} - seen
-                seen |= fresh
-                unions += fresh
             chosen.append(o)
+            C |= 1 << o
             if len(chosen) == n:
                 yield tuple(chosen)
             stack.append(iter(levels[len(chosen)]))

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import networkx as nx
 
 from tangles.blocks import (
@@ -10,6 +12,7 @@ from tangles.blocks import (
     pair_inseparable,
     verify_subdivision,
 )
+from tangles.finite_tangles import connected_graphs_up_to
 from tangles.graphs import FiniteGraph, complete_graph, from_edges, grid_graph, path_graph
 
 
@@ -25,6 +28,14 @@ def test_pair_separability():
     assert min_separator_size(p3, "p0", "p1") is None  # adjacent
     assert pair_inseparable(p3, "p0", "p1", 99)
     assert not pair_inseparable(p3, "p0", "p2", 2)
+
+
+def test_pair_inseparable_matches_min_separator():
+    for g in connected_graphs_up_to(6):
+        for u, v in combinations(sorted(g.vertices), 2):
+            cut = min_separator_size(g, u, v)
+            for k in range(1, 7):
+                assert pair_inseparable(g, u, v, k) == (cut is None or cut >= k)
 
 
 def test_k5_block():

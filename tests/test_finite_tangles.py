@@ -160,6 +160,49 @@ def test_resource_guard():
         count_tangles(star, 2, guard=10**5)
 
 
+def test_star_check_resource_guard():
+    star = from_edges([("c", f"l{i}") for i in range(12)])
+    with pytest.raises(ResourceGuardError):
+        check_star_reduction(star, 2, guard=10**5)
+
+
+def test_grid_4x4_order_4():
+    g = grid_graph(4, 4)
+    assert count_tangles(g, 4) == 1
+    assert check_star_reduction(g, 4)["ok"]
+
+
+def _petersen():
+    outer = [(f"o{i}", f"o{(i + 1) % 5}") for i in range(5)]
+    spokes = [(f"o{i}", f"i{i}") for i in range(5)]
+    inner = [(f"i{i}", f"i{(i + 2) % 5}") for i in range(5)]
+    return from_edges(outer + spokes + inner)
+
+
+@pytest.mark.parametrize(
+    "g, k",
+    [
+        (cycle_graph(5), 3),
+        (_petersen(), 3),
+        (from_edges([("c", f"l{i}") for i in range(4)]), 2),
+        (grid_graph(3, 3), 3),
+    ],
+)
+def test_relation_rows_match_pairwise_tests(g, k):
+    s = _Search(g, k)
+    tow, inc = s.rows
+    ids = range(len(s.a))
+    every = (1 << len(s.a)) - 1
+    for x in ids:
+        Ax, Bx = s.oriented[x]
+        for y in ids:
+            Ay, By = s.oriented[y]
+            assert (tow[x] >> y & 1) == s.toward(x, y)
+            assert (inc[x] >> y & 1) == (Bx <= Ay and By <= Ax)
+        m = s.full ^ s.a[x]
+        assert s.above(m, every) == sum(1 << y for y in ids if m & ~s.a[y] == 0)
+
+
 def test_star_test_refuses_exactly_covering_stars():
     # the star-cover reduction says something only if the star search lets
     # through covering triples that are not stars
