@@ -5,45 +5,25 @@ Separability of a vertex pair is decided by counting disjoint paths up to k
 (adjacent pairs cannot be separated; a nonadjacent pair with an end of degree
 below k is separated by that end's neighbourhood).  A k-block is a maximal
 set of at least k vertices no two of which are separated by fewer than k
-vertices.
+vertices (Carmesin-Diestel-Hamann-Hundertmark, arXiv:1305.4557).
+
+Both steps run on the graph's vertex positions (``FiniteGraph.numbered``).
+The paths are counted by at most k breadth-first augmentations over the
+vertex-split states (w in, w out), with the flow kept as one set of
+flow-carrying edge arcs; the blocks are the maximal cliques of the
+inseparability relation, found by a pivoted Bron-Kerbosch over int
+neighbourhood masks.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
 from itertools import combinations
 
-import networkx as nx
-from networkx.algorithms import connectivity, flow
-
-from .graphs import FiniteGraph
+from .graphs import FiniteGraph, bit_ids
 from .schema import SchemaGraph, vertex_text
 from .semilinear import SemilinearSet
 from .symsets import SymVertexSet
-
-
-def to_networkx(g: FiniteGraph) -> nx.Graph:
-    G = nx.Graph()
-    G.add_nodes_from(sorted(g.vertices))
-    G.add_edges_from(sorted(g.edges))
-    return G
-
-
-def min_separator_size(g: FiniteGraph, u: str, v: str) -> int | None:
-    """Minimum vertex cut between a nonadjacent pair; None when adjacent."""
-    if g.has_edge(u, v):
-        return None
-    return len(nx.minimum_node_cut(to_networkx(g), u, v))
-
-
-@lru_cache(maxsize=1)
-def _flow_network(g: FiniteGraph) -> tuple:
-    """The graph, its vertex-split auxiliary digraph and a residual network,
-    shared by every pair check on the same graph."""
-    G = to_networkx(g)
-    H = connectivity.build_auxiliary_node_connectivity(G)
-    return G, H, flow.build_residual_network(H, "capacity")
 
 
 def pair_inseparable(g: FiniteGraph, u: str, v: str, k: int) -> bool:
@@ -52,8 +32,53 @@ def pair_inseparable(g: FiniteGraph, u: str, v: str, k: int) -> bool:
         return True
     if min(g.degree(u), g.degree(v)) < k:  # N(u) separates u from v
         return False
-    G, H, R = _flow_network(g)
-    return connectivity.local_node_connectivity(G, u, v, auxiliary=H, residual=R, cutoff=k) >= k
+    return _disjoint_paths(g, u, v, k) >= k
+
+
+def _disjoint_paths(g: FiniteGraph, u: str, v: str, k: int) -> int:
+    """Internally disjoint paths between nonadjacent u and v, counted up to k.
+
+    State 2w is w's in-copy and 2w+1 its out-copy; an inner vertex passes
+    one unit from in to out.  ``flow`` holds the arcs (x, y), x out to y in,
+    that carry a unit, so an inner vertex y is in use exactly when one of
+    them enters it.  The residual moves are: out x to in y along an unused
+    arc, back from in y to out x along a used one, in w to out w when w is
+    free, and back from out w to in w when it is in use.
+    """
+    _, index, nbrs = g.numbered
+    s, t = index[u], index[v]
+    flow: set[tuple[int, int]] = set()
+    for found in range(k):
+        into = {y: x for x, y in flow}  # the feeder of each inner vertex in use
+        parent = {2 * s + 1: None}
+        queue = deque(parent)
+        while queue and 2 * t not in parent:
+            state = queue.popleft()
+            w = state >> 1
+            if state & 1:
+                steps = [2 * y for y in nbrs[w] if y != s and (w, y) not in flow]
+                if w in into:
+                    steps.append(2 * w)
+            else:
+                x = into.get(w)
+                steps = (2 * w + 1 if x is None else 2 * x + 1,)
+            for nxt in steps:
+                if nxt not in parent:
+                    parent[nxt] = state
+                    queue.append(nxt)
+        if 2 * t not in parent:
+            return found
+        state = 2 * t
+        while parent[state] is not None:
+            prev = parent[state]
+            x, y = prev >> 1, state >> 1
+            if x != y:  # an edge arc: used forward, or its unit cancelled
+                if prev & 1:
+                    flow.add((x, y))
+                else:
+                    flow.remove((y, x))
+            state = prev
+    return k
 
 
 def is_inseparable(g: FiniteGraph, K, k: int) -> bool:
@@ -64,13 +89,35 @@ def is_inseparable(g: FiniteGraph, K, k: int) -> bool:
 
 def k_blocks(g: FiniteGraph, k: int) -> list[frozenset[str]]:
     """Maximal (< k)-inseparable sets with at least k vertices."""
-    rel = nx.Graph()
-    rel.add_nodes_from(sorted(g.vertices))
-    for u, v in combinations(sorted(g.vertices), 2):
-        if pair_inseparable(g, u, v, k):
-            rel.add_edge(u, v)
-    blocks = [frozenset(c) for c in nx.find_cliques(rel) if len(c) >= k]
-    return sorted(blocks, key=lambda b: sorted(b))
+    order = g.numbered[0]
+    rel = [0] * len(order)
+    for i, j in combinations(range(len(order)), 2):
+        if pair_inseparable(g, order[i], order[j], k):
+            rel[i] |= 1 << j
+            rel[j] |= 1 << i
+    blocks = [
+        frozenset(order[i] for i in bit_ids(c)) for c in _maximal_cliques(rel) if c.bit_count() >= k
+    ]
+    return sorted(blocks, key=sorted)
+
+
+def _maximal_cliques(rel: list[int]) -> list[int]:
+    """Maximal cliques of the graph whose vertex i has neighbour mask rel[i],
+    as masks: Bron-Kerbosch with Tomita's pivot, on an explicit stack."""
+    out = []
+    stack = [(0, (1 << len(rel)) - 1, 0)]  # clique R, candidates P, excluded X
+    while stack:
+        R, P, X = stack.pop()
+        if not P:
+            if not X and R:
+                out.append(R)
+            continue
+        pivot = max(bit_ids(P | X), key=lambda w: (P & rel[w]).bit_count())
+        for w in bit_ids(P & ~rel[pivot]):
+            stack.append((R | 1 << w, P & rel[w], X & rel[w]))
+            P &= ~(1 << w)
+            X |= 1 << w
+    return out
 
 
 # -- clique subdivisions ------------------------------------------------------

@@ -33,7 +33,6 @@ from .infinite_tangles import (
 from .schema import SchemaGraph, parse_level, parse_schema, parse_vertex, vertex_text
 from .semilinear import ResourceGuardError
 from .separations import parse_separation
-from .suite import run_suite
 from .topology import (
     closure_probe,
     default_schedule,
@@ -316,6 +315,8 @@ def _dispatch(args) -> int:
         return _emit(args, {"input": digest, "seed": args.seed, "reports": reports}, ok=ok)
 
     if args.cmd == "check":
+        from .suite import run_suite  # loads networkx, which no other command needs
+
         rep = run_suite(seed=args.seed, samples=max(2, args.samples // 4))
         return _emit(args, rep, ok=rep["ok"])
 

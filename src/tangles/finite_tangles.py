@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product, takewhile
 
+from .graphs import FiniteGraph, bit_ids
 from .semilinear import ResourceGuardError
 
 DEFAULT_GUARD = 2**23  # ANDs per search, about 0.5-0.7 us each
@@ -68,14 +69,6 @@ def separations_below_order(g, k: int) -> list[OrientedPair]:
                 B = X.union(*b_side) if b_side else X
                 out.add((A, B) if _key(A) <= _key(B) else (B, A))
     return sorted(out, key=lambda ab: (len(ab[0] & ab[1]), _key(ab[0]), _key(ab[1])))
-
-
-def _ids(x: int):
-    """The positions of the set bits of x, lowest first."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
 
 
 def _holders(masks: list[int], width: int) -> list[int]:
@@ -174,7 +167,7 @@ class _Search:
         miss = self.full ^ a[o]
         # a member c of a covering pair or triple holds the lowest bit o
         # misses; the pair is the triple (o, c, c)
-        return not miss or any(above(miss & ~a[c], C) for c in _ids(above(miss & -miss, C)))
+        return not miss or any(above(miss & ~a[c], C) for c in bit_ids(above(miss & -miss, C)))
 
     def star_refused(self, C: int, o: int) -> bool:
         """o is inconsistent with a member of the chosen bitset C, or covers the
@@ -186,7 +179,7 @@ class _Search:
         self.spent += 2  # the rows of o ANDed with C
         if inc[o] & C or not miss or above(miss, S):
             return True
-        for c in _ids(above(miss & -miss, S)):
+        for c in bit_ids(above(miss & -miss, S)):
             self.spent += 1  # S & tow[c]
             if above(miss & ~a[c], S & tow[c]):
                 return True
@@ -318,8 +311,6 @@ def check_join_closure(g, k: int, guard: int = DEFAULT_GUARD) -> dict:
 def connected_graphs_up_to(n: int):
     """All connected graphs on 1..n vertices, up to isomorphism (atlas order)."""
     import networkx as nx
-
-    from .graphs import FiniteGraph
 
     # the atlas is ordered by node count, so read it only up to the first
     # larger graph (nx.graph_atlas(i) would reread the file for every i)

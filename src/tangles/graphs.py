@@ -19,6 +19,14 @@ class GraphParseError(ValueError):
         self.line = line
 
 
+def bit_ids(x: int):
+    """The positions of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 def _edge(u: str, v: str) -> tuple[str, str]:
     return (u, v) if u <= v else (v, u)
 
@@ -42,6 +50,15 @@ class FiniteGraph:
             adj[u].add(v)
             adj[v].add(u)
         return {v: frozenset(ns) for v, ns in adj.items()}
+
+    @cached_property
+    def numbered(self) -> tuple[tuple[str, ...], dict[str, int], tuple[tuple[int, ...], ...]]:
+        """The vertices in sorted order, the position of each, and for each
+        position the positions of its neighbours, ascending."""
+        order = tuple(sorted(self.vertices))
+        index = {v: i for i, v in enumerate(order)}
+        nbrs = tuple(tuple(sorted(index[w] for w in self.adjacency[v])) for v in order)
+        return order, index, nbrs
 
     def neighbors(self, v: str) -> frozenset[str]:
         return self.adjacency[v]

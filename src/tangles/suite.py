@@ -13,6 +13,12 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+# The suite draws G(n, p) graphs and reads networkx's graph atlas
+# (``connected_graphs_up_to``); nothing else in the package needs networkx.
+# Importing it here puts its load time on ``import tangles.suite`` rather
+# than inside the first check that uses it, so per-check times stay comparable.
+import networkx as nx
+
 from . import builtin
 from .abstract import observation_check
 from .blocks import build_clique_subdivision, is_inseparable, verify_subdivision
@@ -285,8 +291,6 @@ def subcover(n: int) -> dict:
 def clique_subdivisions(rng: random.Random, graphs: int) -> dict:
     """12: clique-subdivision certificates on K5, on K5 minus an edge, and
     on random branch 4-sets of the first ``graphs`` G(8, 0.78) graphs."""
-    import networkx as nx
-
     k5 = complete_graph(5)
     cert = build_clique_subdivision(k5, k5.vertices)
     ok = cert["ok"] and verify_subdivision(k5, k5.vertices, cert)

@@ -1,6 +1,9 @@
 from itertools import combinations
 
 import networkx as nx
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from nx_reference import min_separator_size, reference_k_blocks, separator_sizes
 
 from tangles.blocks import (
     block_pair_check,
@@ -8,7 +11,6 @@ from tangles.blocks import (
     infinite_blocks,
     is_inseparable,
     k_blocks,
-    min_separator_size,
     pair_inseparable,
     verify_subdivision,
 )
@@ -30,12 +32,82 @@ def test_pair_separability():
     assert not pair_inseparable(p3, "p0", "p2", 2)
 
 
+def assert_matches_networkx(g: FiniteGraph):
+    """pair_inseparable against networkx's minimum vertex cuts, and k_blocks
+    against networkx's maximal cliques of the resulting relation, k = 1..6."""
+    sizes = separator_sizes(g)
+    for k in range(1, 7):
+        for (u, v), cut in sizes.items():
+            assert pair_inseparable(g, u, v, k) == (cut is None or cut >= k), (u, v, k)
+        assert k_blocks(g, k) == reference_k_blocks(g, k, sizes), k
+
+
+def petersen():
+    outer = [(f"o{i}", f"o{(i + 1) % 5}") for i in range(5)]
+    spokes = [(f"o{i}", f"i{i}") for i in range(5)]
+    inner = [(f"i{i}", f"i{(i + 2) % 5}") for i in range(5)]
+    return from_edges(outer + spokes + inner)
+
+
 def test_pair_inseparable_matches_min_separator():
     for g in connected_graphs_up_to(6):
-        for u, v in combinations(sorted(g.vertices), 2):
-            cut = min_separator_size(g, u, v)
-            for k in range(1, 7):
-                assert pair_inseparable(g, u, v, k) == (cut is None or cut >= k)
+        assert_matches_networkx(g)
+
+
+def test_grids_petersen_and_stars_match_networkx():
+    for rows, cols in ((3, 3), (3, 4), (3, 5), (4, 4), (4, 5), (5, 5)):
+        assert_matches_networkx(grid_graph(rows, cols))
+    assert_matches_networkx(petersen())
+    for n in (1, 2, 5, 7):
+        assert_matches_networkx(from_edges(("c", f"l{i}") for i in range(n)))
+
+
+def test_disconnected_graph_matches_networkx():
+    k4, q4, p3 = complete_graph(4), complete_graph(4, "q"), path_graph(3)
+    g = FiniteGraph(
+        k4.vertices | q4.vertices | p3.vertices | {"lone"}, k4.edges | q4.edges | p3.edges
+    )
+    assert_matches_networkx(g)
+    assert not pair_inseparable(g, "k0", "q0", 1)
+    # the 1-blocks are the components
+    assert k_blocks(g, 1) == sorted(g.components(), key=sorted)
+
+
+def test_second_path_cancels_the_first():
+    # s-a-b-t is the only shortest s-t path, but the two disjoint paths are
+    # s-a-x1-x2-t and s-y1-y2-b-t: the second augmentation has to send its
+    # unit back along a-b
+    g = from_edges([("s", "a"), ("a", "b"), ("b", "t"), ("a", "x1"), ("x1", "x2"),
+                    ("x2", "t"), ("s", "y1"), ("y1", "y2"), ("y2", "b")])
+    assert pair_inseparable(g, "s", "t", 2)
+    assert not pair_inseparable(g, "s", "t", 3)
+    assert min_separator_size(g, "s", "t") == 2
+    assert_matches_networkx(g)
+    # s-p-w-q-t is the only shortest path; the second augmentation enters q
+    # from s-r1-r2-r3, runs back through w (out, then in) to p and leaves p
+    # towards z1-z2-z3-t, so w ends up unused
+    g = from_edges([("s", "p"), ("p", "w"), ("w", "q"), ("q", "t"), ("s", "r1"), ("r1", "r2"),
+                    ("r2", "r3"), ("r3", "q"), ("p", "z1"), ("z1", "z2"), ("z2", "z3"), ("z3", "t")])
+    assert pair_inseparable(g, "s", "t", 2)
+    assert min_separator_size(g, "s", "t") == 2
+    assert_matches_networkx(g)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 9))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return FiniteGraph(
+        frozenset(f"v{i}" for i in range(n)),
+        frozenset((f"v{i}", f"v{j}") for (i, j), kept in zip(pairs, keep) if kept),
+    )
+
+
+@given(small_graphs())
+@settings(max_examples=60, deadline=None)
+def test_random_edge_sets_match_networkx(g):
+    assert_matches_networkx(g)
 
 
 def test_k5_block():

@@ -1,7 +1,7 @@
 import networkx as nx
 import pytest
+from nx_reference import to_networkx
 
-from tangles.blocks import to_networkx
 from tangles.components import components
 from tangles.infinite_tangles import (
     end_catalogue,
