@@ -15,8 +15,9 @@ import random
 import sys
 
 from . import builtin
+from .abstract import observation_check
 from .blocks import build_clique_subdivision, infinite_blocks, k_blocks, verify_subdivision
-from .components import components
+from .components import ComponentSelection, components
 from .finite_tangles import count_tangles, enumerate_tangles
 from .graphs import GraphParseError, parse_finite
 from .infinite_tangles import (
@@ -110,8 +111,6 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a canonical JSON report")
     common.add_argument("--seed", type=int, default=0, help="seed for all sampling")
-    common.add_argument("--samples", type=int, default=20, help="sample count for probabilistic checks")
-    common.add_argument("--truncation", type=int, default=20, help="default truncation depth")
     sub = p.add_subparsers(dest="cmd", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))
 
     s = sub.add_parser("finite", help="enumerate tangles of a finite graph")
@@ -160,11 +159,14 @@ def main(argv=None) -> int:
 
     s = sub.add_parser("observation", help="small-inverse-supremum vs finite far side, sampled")
     s.add_argument("schema")
+    s.add_argument("--samples", type=int, default=20, help="stars sampled per tangle")
 
-    sub.add_parser("check", help="run the bundled verification suite")
+    s = sub.add_parser("check", help="run the bundled verification suite")
+    s.add_argument("--samples", type=int, default=20, help="sample count; the suite runs a quarter of it, at least 2")
 
     s = sub.add_parser("dot", help="export a finite graph or truncated schema as DOT")
     s.add_argument("graph")
+    s.add_argument("--truncation", type=int, default=20, help="truncation depth for schemas")
 
     s = sub.add_parser("dump-schema", help="print a bundled schema file")
     s.add_argument("name", choices=builtin.builtin_names())
@@ -216,8 +218,6 @@ def _dispatch(args) -> int:
         else:
             raise ValueError(f"bad --kind {args.kind!r}")
         answers = []
-        from .components import ComponentSelection
-
         for q in args.query:
             sel = ComponentSelection.parse(cs, q)
             answers.append({"query": q, "member": u.membership(sel)})
@@ -305,8 +305,6 @@ def _dispatch(args) -> int:
 
     if args.cmd == "observation":
         schema, digest = _load_schema(args.schema)
-        from .abstract import observation_check
-
         reports = []
         for t in suite_tangles(schema):
             stars = [sample_star_in_tangle(t, rng, depth_bound=6) for _ in range(args.samples)]

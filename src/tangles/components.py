@@ -63,6 +63,29 @@ class ComponentSet:
     def member_vertices(self, family: str, copy: int) -> SymVertexSet:
         return SymVertexSet.whole_copies(self.schema, family, SemilinearSet.of(copy))
 
+    def vertices(self, loc) -> SymVertexSet:
+        """The vertex set of the component a locator names."""
+        if loc[0] == "concrete":
+            return self.concretes[loc[1]].vertices
+        return self.member_vertices(self.classes[loc[1]].family, loc[2])
+
+    def only(self, loc) -> "ComponentSelection":
+        """The selection of the one component a locator names."""
+        if loc[0] == "concrete":
+            return self.selection(concretes=[loc[1]])
+        return self.selection(
+            class_parts={self.classes[loc[1]].family: SemilinearSet.of(loc[2])}
+        )
+
+    def locate(self, holds, copy: tuple[str, int] | None = None):
+        """The locator of the first component whose vertex set satisfies
+        ``holds``, among the concrete ones and the class member of the given
+        family copy; None if none does."""
+        locs = [("concrete", k) for k in range(len(self.concretes))]
+        if copy is not None and (cl := self.class_for(copy[0])) and copy[1] in cl.indices:
+            locs.append(("class", self.class_index(copy[0]), copy[1]))
+        return next((loc for loc in locs if holds(self.vertices(loc))), None)
+
     def locate_vertex(self, v: Vertex):
         """Return ("concrete", k) or ("class", k, copy) for the component of v."""
         if v in self.removed:
@@ -282,7 +305,7 @@ class ComponentSelection:
                 fam, sls = item.split("{", 1)
                 if fam not in parts:
                     raise ValueError(f"no component class {fam!r}")
-                parts[fam] = SemilinearSet.parse("{" + sls)
+                parts[fam] |= SemilinearSet.parse("{" + sls)
             else:
                 raise ValueError(f"bad selection item {item!r}")
         return cs.selection(

@@ -14,11 +14,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .abstract import finite_far_side
 from .components import ComponentSet, components
-from .sampling import random_level, random_selection
+from .sampling import random_level, random_selection, random_separation
 from .schema import SchemaGraph, Vertex, vertex_sort_key, vertex_text
 from .semilinear import SemilinearSet
-from .separations import OrientedSeparation, from_bipartition, is_star
+from .separations import OrientedSeparation, from_bipartition, from_vertex_sides, is_star
 from .symsets import SymVertexSet
 from .ultrafilters import (
     LimitFamily,
@@ -44,6 +45,19 @@ class End:
         if self.kind == "leg":
             return f"end:{self.names[0]}:{self.index}"
         return "end:" + "+".join(self.names)
+
+    @property
+    def copy(self) -> tuple[str, int] | None:
+        """The family copy a leg end runs along."""
+        return None if self.index is None else (self.names[0], self.index)
+
+    def lives_in(self, vs: SymVertexSet) -> bool:
+        """Whether the end lives in the vertex set: it holds a tail of the
+        end's rays, of its leg, or infinitely many clique vertices."""
+        if self.kind == "leg":
+            return vs.copy_cofinitely_in(*self.copy)
+        slot = vs.ray_set if self.kind == "rays" else vs.cliq_set
+        return slot(self.names[0]).is_infinite
 
 
 @dataclass(frozen=True)
@@ -93,21 +107,10 @@ def leg_end(schema: SchemaGraph, family: str, index: int) -> End:
 
 def end_component(schema: SchemaGraph, end: End, cs: ComponentSet):
     """The component of (graph minus X) the end lives in, as a locator."""
-    if end.kind == "leg":
-        fam, i = end.names[0], end.index
-        cl = cs.class_for(fam)
-        if cl is not None and i in cl.indices:
-            return ("class", cs.class_index(fam), i)
-        for k, c in enumerate(cs.concretes):
-            if c.vertices.copy_cofinitely_in(fam, i):
-                return ("concrete", k)
-        raise AssertionError(f"leg {fam}:{i} lost")
-    for k, c in enumerate(cs.concretes):
-        if end.kind == "rays" and c.vertices.ray_set(end.names[0]).is_infinite:
-            return ("concrete", k)
-        if end.kind == "clique" and c.vertices.cliq_set(end.names[0]).is_infinite:
-            return ("concrete", k)
-    raise AssertionError(f"end {end.id()} lost")
+    loc = cs.locate(end.lives_in, end.copy)
+    if loc is None:
+        raise AssertionError(f"end {end.id()} lost")
+    return loc
 
 
 # -- tangles -------------------------------------------------------------------
@@ -116,10 +119,17 @@ def end_component(schema: SchemaGraph, end: End, cs: ComponentSet):
 @dataclass
 class Tangle:
     schema: SchemaGraph
-    kind: str  # "end" | "uf"
-    end: End | None = None
-    witness: frozenset | None = None  # level of the defining ultrafilter
-    handle: UltrafilterHandle | None = None  # non-principal, at witness level
+    end: End | None = None  # end tangles
+    handle: UltrafilterHandle | None = None  # uf tangles: non-principal, at the witness level
+
+    @property
+    def kind(self) -> str:
+        return "end" if self.end is not None else "uf"
+
+    @property
+    def witness(self) -> frozenset | None:
+        """The level of the defining ultrafilter (uf tangles only)."""
+        return None if self.handle is None else self.handle.level
 
     def id(self) -> str:
         if self.kind == "end":
@@ -131,7 +141,7 @@ class Tangle:
 
 
 def end_tangle(schema: SchemaGraph, end: End) -> Tangle:
-    return Tangle(schema, "end", end=end)
+    return Tangle(schema, end=end)
 
 
 def uf_tangle(
@@ -145,15 +155,13 @@ def uf_tangle(
         family = cands[0]
     if level is None:
         level = hub_vertices(schema, family)
-    cs = components(schema, level)
-    handle = lazy_on(cs, family)
-    return Tangle(schema, "uf", witness=frozenset(level), handle=handle)
+    return Tangle(schema, handle=lazy_on(components(schema, level), family))
 
 
 def uf_tangle_from_handle(handle: UltrafilterHandle) -> Tangle:
     if handle.is_principal:
         raise PrincipalInputError("ultrafilter tangles need a non-principal handle")
-    return Tangle(handle.schema, "uf", witness=handle.level, handle=handle)
+    return Tangle(handle.schema, handle=handle)
 
 
 def splittable_families(schema: SchemaGraph) -> list[str]:
@@ -233,12 +241,7 @@ class Direction:
         return u.gen
 
     def vertex_set(self, X) -> SymVertexSet:
-        schema = self.tangle.schema
-        cs = components(schema, schema.check_vertices(X))
-        loc = self.component(X)
-        if loc[0] == "concrete":
-            return cs.concretes[loc[1]].vertices
-        return cs.member_vertices(cs.classes[loc[1]].family, loc[2])
+        return induced_ultrafilter(self.tangle, X).generator_vertices()
 
 
 def direction_of(tangle: Tangle) -> Direction:
@@ -268,37 +271,26 @@ def limit_from(schema: SchemaGraph, X, u: UltrafilterHandle) -> LimitFamily:
         raise PrincipalInputError("no tangle induces a principal ultrafilter at a finite component")
     end = _end_in(schema, gen)
     if end is not None:
-        tangle = end_tangle(schema, end)
-        return limit_of_tangle(tangle)
+        return limit_of_tangle(end_tangle(schema, end))
     # rayless infinite component: split it at the hubs of a family inside it
-    for f in schema.families:
-        if f.is_ray_family or f.ray_attach:
-            continue
-        if gen.full_copy_indices(f.name).is_infinite:
-            level = X | hub_vertices(schema, f.name)
-            seed = lazy_on(components(schema, level), f.name)
-            return limit_from_nonprincipal(seed)
+    for fam in splittable_families(schema):
+        if gen.full_copy_indices(fam).is_infinite:
+            level = X | hub_vertices(schema, fam)
+            return limit_from_nonprincipal(lazy_on(components(schema, level), fam))
     raise AssertionError("infinite rayless component without a splittable family")
 
 
 def _end_in(schema: SchemaGraph, vs: SymVertexSet) -> End | None:
-    """Some end living inside the given component vertex set, if any."""
+    """Some end living inside the given component vertex set, if any: a
+    single end, else the leg of the least whole copy of a leg family."""
     cat = end_catalogue(schema)
-    for e in cat.singles:
-        name = e.names[0]
-        if e.kind == "rays" and vs.ray_set(name).is_infinite:
-            return e
-        if e.kind == "clique" and vs.cliq_set(name).is_infinite:
-            return e
-    for fam in cat.leg_families:
-        w = vs.whole_set(fam)
-        if not w.is_empty:
-            return leg_end(schema, fam, w.min_value())
-    return None
+    legs = [leg_end(schema, fam, vs.whole_set(fam).min_value())
+            for fam in cat.leg_families if not vs.whole_set(fam).is_empty]
+    return next((e for e in (*cat.singles, *legs) if e.lives_in(vs)), None)
 
 
 def limit_of_tangle(tangle: Tangle) -> LimitFamily:
-    seed_level = tangle.witness if tangle.kind == "uf" else frozenset()
+    seed_level = tangle.witness or frozenset()
     return LimitFamily(
         tangle.schema, seed_level, lambda Y: induced_ultrafilter(tangle, Y)
     )
@@ -310,32 +302,16 @@ def tangle_from_limit(limit: LimitFamily) -> Tangle:
     for X in witness_candidates(schema):
         u = limit.eval(X)
         if not u.is_principal:
-            fam = u.core.family
-            least = hub_vertices(schema, fam)
+            least = hub_vertices(schema, u.core.family)
             return uf_tangle_from_handle(restrict_ultrafilter(u, least))
-    # end tangle: identify the end from the generator at a separating level
-    cat = end_catalogue(schema)
-    for fam in cat.leg_families:
-        hubs = hub_vertices(schema, fam)
-        u = limit.eval(hubs)
-        if u.gen[0] == "class":
-            return end_tangle(schema, leg_end(schema, fam, u.gen[2]))
-    deep = set()
-    for r in schema.rays:
-        deep.add(("ray", r.name, 1))
-    for f in schema.families:
-        for c, _ in f.core_attach:
-            deep.add(("core", c))
-    for c in schema.cliques:
-        for cv in c.attach:
-            deep.add(("core", cv))
-    deep = frozenset(deep)
-    u = limit.eval(deep)
-    cs = components(schema, deep)
-    for e in cat.singles:
-        if end_component(schema, e, cs) == u.gen:
-            return end_tangle(schema, e)
-    raise AssertionError("limit family matches no tangle")
+    # end tangle: the generator at a level separating all ends holds just one
+    deep = {("ray", r.name, 1) for r in schema.rays}
+    deep |= {("core", c) for f in schema.families for c, _ in f.core_attach}
+    deep |= {("core", cv) for c in schema.cliques for cv in c.attach}
+    end = _end_in(schema, limit.eval(frozenset(deep)).generator_vertices())
+    if end is None:
+        raise AssertionError("limit family matches no tangle")
+    return end_tangle(schema, end)
 
 
 # -- census ---------------------------------------------------------------------
@@ -396,8 +372,7 @@ def suite_tangles(schema: SchemaGraph) -> list[Tangle]:
     for fam in cat.leg_families:
         out.append(end_tangle(schema, leg_end(schema, fam, 0)))
         out.append(end_tangle(schema, leg_end(schema, fam, 3)))
-    for entry in uf_classes(schema):
-        out.append(uf_tangle(schema, family=entry["family"]))
+    out += [uf_tangle(schema, family=fam) for fam in splittable_families(schema)]
     return out
 
 
@@ -463,8 +438,6 @@ def sample_perturbation(
         return sep
     v = rng.choice(pool)
     extra = SymVertexSet.of(schema, [v])
-    from .separations import from_vertex_sides
-
     return from_vertex_sides(schema, sep.side_A | extra, sep.side_B | extra)
 
 
@@ -490,9 +463,9 @@ def infinite_star_probe(tangle: Tangle, level: frozenset, family: str) -> dict:
             copy_i = cs.selection(class_parts={family: SemilinearSet.of(i)})
             contained = contained and in_tangle(tangle, from_bipartition(schema, level, copy_i.complement()))
     else:
-        loc = end_component(schema, tangle.end, cs)
-        in_rest = loc[0] == "class" and cs.classes[loc[1]].family == family and loc[2] in rest
-        contained = contained and not in_rest
+        contained = contained and not rest_copies.contains_component(
+            end_component(schema, tangle.end, cs)
+        )
     # copy i's member has all but copy i on its far side
     far_side_finite = (sep0.side_B - rest_copies.union_vertices()).is_finite
     return {
@@ -529,20 +502,17 @@ def axiom_check(
             findings.append(("not_a_star", [s.text() for s in star]))
             continue
         stars += 1
-        far = star[0].side_B
-        for s in star[1:]:
-            far = far & s.side_B
-        if far.is_finite:
+        if finite_far_side(star):
             findings.append(("finite_far_side", [s.text() for s in star]))
     perturbs = 0
     for _ in range(perturbation_samples):
-        sep = orient(tangle, _random_member(tangle, rng, depth_bound))
+        sep = orient(tangle, random_separation(schema, rng, depth_bound=depth_bound))
         pert = sample_perturbation(tangle, sep, rng, depth_bound)
         perturbs += 1
         if not in_tangle(tangle, pert):
             findings.append(("perturbation_escaped", sep.text(), pert.text()))
     for _ in range(member_samples):
-        sep = orient(tangle, _random_member(tangle, rng, depth_bound))
+        sep = orient(tangle, random_separation(schema, rng, depth_bound=depth_bound))
         members += 1
         if sep.side_B.is_finite:
             findings.append(("finite_member_far_side", sep.text()))
@@ -566,9 +536,3 @@ def axiom_check(
         "findings": findings,
         "ok": not findings,
     }
-
-
-def _random_member(tangle: Tangle, rng: random.Random, depth_bound: int = 8):
-    from .sampling import random_separation
-
-    return random_separation(tangle.schema, rng, depth_bound=depth_bound)

@@ -53,7 +53,7 @@ LAZY_SCHEMAS = ("star", "spider", "twohub")
 
 
 def handles_equivalent(u1, u2) -> bool:
-    if u1.kind != u2.kind:
+    if u1.is_principal != u2.is_principal:
         return False
     return u1.gen == u2.gen if u1.is_principal else u1.core is u2.core
 

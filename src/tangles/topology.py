@@ -28,7 +28,7 @@ from .schema import SchemaGraph, Vertex, level_text, parse_level, vertex_text
 from .semilinear import SemilinearSet
 from .separations import OrientedSeparation, from_bipartition
 from .symsets import SymVertexSet
-from .ultrafilters import preimage_selection, principal_at
+from .ultrafilters import LazyCore, UltrafilterHandle, preimage_selection, principal_at
 
 
 @dataclass(frozen=True)
@@ -152,9 +152,7 @@ def _leftover_tangle(schema, level, fine, leftover) -> Tangle:
             seed = principal_at(fine, ("class", k, part.min_value()))
             return tangle_from_limit(limit_from(schema, level, seed))
         if part.is_infinite:
-            from .ultrafilters import LazyCore, UltrafilterHandle
-
-            seed = UltrafilterHandle(fine, "lazy", core=LazyCore(cl.family, part))
+            seed = UltrafilterHandle(fine, core=LazyCore(cl.family, part))
             return tangle_from_limit(limit_from(schema, level, seed))
     raise AssertionError("infinite leftover without a tangle seed")
 
@@ -229,15 +227,7 @@ def member_avoiding(tangle: Tangle, z: Vertex, n: int) -> OrientedSeparation:
     if z in cut:
         raise ValueError("vertex sits on the cut")
     cs = components(schema, cut)
-    home = end_component(schema, tangle.end, cs)
-    sel = cs.select_none()
-    if home[0] == "concrete":
-        sel = cs.selection(concretes=[home[1]])
-    else:
-        sel = cs.selection(
-            class_parts={cs.classes[home[1]].family: SemilinearSet.of(home[2])}
-        )
-    sep = from_bipartition(schema, cut, sel)
+    sep = from_bipartition(schema, cut, cs.only(end_component(schema, tangle.end, cs)))
     if z in sep.side_B:
         raise AssertionError("cut failed to strip the vertex from the end side")
     return sep
@@ -299,7 +289,7 @@ def _agreeing_member(tangle, sep, Z) -> OrientedSeparation | None:
     for builder in (_component_move, _kernel_join_move):
         try:
             cand = builder(tangle, sep, Z)
-        except (ValueError, AssertionError):
+        except ValueError:  # NotRepresentable among others
             cand = None
         if cand is not None and in_tangle(tangle, cand) and agree_on(sep, cand, Z):
             return cand

@@ -72,9 +72,8 @@ class LazyCore:
 @dataclass
 class UltrafilterHandle:
     cs: ComponentSet
-    kind: str  # "principal" | "lazy"
-    gen: tuple | None = None  # ("concrete", k) or ("class", k, copy)
-    core: LazyCore | None = None
+    gen: tuple | None = None  # principal: the generating component's locator
+    core: LazyCore | None = None  # lazy: the shared commitment state
 
     @property
     def schema(self) -> SchemaGraph:
@@ -86,15 +85,12 @@ class UltrafilterHandle:
 
     @property
     def is_principal(self) -> bool:
-        return self.kind == "principal"
+        return self.core is None
 
     def generator_vertices(self) -> SymVertexSet:
         if not self.is_principal:
             raise ValueError("lazy handle has no generating component")
-        if self.gen[0] == "concrete":
-            return self.cs.concretes[self.gen[1]].vertices
-        fam = self.cs.classes[self.gen[1]].family
-        return self.cs.member_vertices(fam, self.gen[2])
+        return self.cs.vertices(self.gen)
 
     def membership(self, sel: ComponentSelection) -> bool:
         if sel.cs is not self.cs and sel.cs != self.cs:
@@ -121,7 +117,7 @@ class UltrafilterHandle:
 
 
 def principal_at(cs: ComponentSet, loc) -> UltrafilterHandle:
-    return UltrafilterHandle(cs, "principal", gen=loc)
+    return UltrafilterHandle(cs, gen=loc)
 
 
 def principal_at_vertex(cs: ComponentSet, v: Vertex) -> UltrafilterHandle:
@@ -136,15 +132,13 @@ def lazy_on(cs: ComponentSet, family: str | None = None) -> UltrafilterHandle:
     if not candidates:
         raise ValueError("no infinite component class at this level")
     cl = candidates[0]
-    return UltrafilterHandle(
-        cs, "lazy", core=LazyCore(cl.family, cl.indices)
-    )
+    return UltrafilterHandle(cs, core=LazyCore(cl.family, cl.indices))
 
 
 def lazy_sharing(cs: ComponentSet, core: LazyCore) -> UltrafilterHandle:
     if cs.class_for(core.family) is None:
         raise ValueError(f"no {core.family} class at this level")
-    return UltrafilterHandle(cs, "lazy", core=core)
+    return UltrafilterHandle(cs, core=core)
 
 
 # -- the inverse system -----------------------------------------------------
@@ -165,10 +159,10 @@ def restrict_ultrafilter(U: UltrafilterHandle, X) -> UltrafilterHandle:
     if cl is not None:
         return lazy_sharing(cs, U.core)
     # all but finitely many copies of the family now sit in one component
-    for k, c in enumerate(cs.concretes):
-        if c.vertices.full_copy_indices(U.core.family).is_infinite:
-            return principal_at(cs, ("concrete", k))
-    raise AssertionError("concentration class vanished")
+    loc = cs.locate(lambda vs: vs.full_copy_indices(U.core.family).is_infinite)
+    if loc is None:
+        raise AssertionError("concentration class vanished")
+    return principal_at(cs, loc)
 
 
 def lift_ultrafilter(U: UltrafilterHandle, Xp) -> UltrafilterHandle:

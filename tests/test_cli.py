@@ -160,6 +160,14 @@ def test_check_has_no_suite_option(capsys):
         main(["check", "--suite", "all"])
 
 
+def test_sample_and_truncation_options_only_where_used(capsys, k4_file):
+    for argv in (["finite", k4_file, "--order", "2", "--truncation", "5"],
+                 ["census", "builtin:ray", "--samples", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
 def test_bad_inputs_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.g"
     bad.write_text("v a\ne a a\n")

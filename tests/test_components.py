@@ -95,6 +95,13 @@ def test_selection_algebra_and_text(schemas):
     assert evens.text() == "{L{0+2t}}"
 
 
+def test_parse_unions_repeated_class_items(schemas):
+    cs = components(schemas["star"], {("core", "c")})
+    parse = lambda text: ComponentSelection.parse(cs, text)  # noqa: E731
+    assert parse("{L{0},L{1}}") == parse("{L{0,1}}")
+    assert parse("{L{0+1t},L{}}") == parse("{L{0+1t}}")
+
+
 ADVERSARIAL = {
     # rungs between two rays plus an extra leaf family on a shared hub
     "braced_ladder": """core:

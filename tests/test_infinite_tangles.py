@@ -152,10 +152,12 @@ def test_witness_sets_behave_monotonically(schemas, rng):
 
 
 def test_tangle_limit_roundtrip(schemas, rng):
-    for name in ("ray", "spider", "star", "cliq", "comb"):
-        schema = schemas[name]
-        for t in suite_tangles(schema):
+    for name, schema in schemas.items():
+        legs = [leg_end(schema, fam, i)
+                for fam in end_catalogue(schema).leg_families for i in (1, 7, 20)]
+        for t in suite_tangles(schema) + [end_tangle(schema, e) for e in legs]:
             t2 = tangle_from_limit(limit_of_tangle(t))
+            assert t2.id() == t.id(), (name, t.id())
             for _ in range(15):
                 sep = random_separation(schema, rng, depth_bound=6)
                 assert orient(t, sep) == orient(t2, sep)
@@ -264,9 +266,9 @@ def test_distinct_logs_disagree_on_a_separation(schemas):
     cs = components(star, X)
     evens = SemilinearSet.progression(0, 2)
     # two lazy representatives concentrated on disjoint infinite sub-classes
-    t1 = uf_tangle_from_handle(UltrafilterHandle(cs, "lazy", core=LazyCore("L", evens)))
+    t1 = uf_tangle_from_handle(UltrafilterHandle(cs, core=LazyCore("L", evens)))
     t2 = uf_tangle_from_handle(
-        UltrafilterHandle(cs, "lazy", core=LazyCore("L", evens.complement()))
+        UltrafilterHandle(cs, core=LazyCore("L", evens.complement()))
     )
     s = from_bipartition(star, X, cs.selection(class_parts={"L": evens}))
     assert orient(t1, s) == s and orient(t2, s) == s.inverse()

@@ -44,8 +44,11 @@ def test_empty_pattern_rejected():
 def test_disconnected_schema_rejected():
     with pytest.raises(GraphParseError, match="not connected"):
         parse_schema("core:\nv c\nray R\nray Q at c\n")
-    with pytest.raises(GraphParseError, match="disconnect"):
-        parse_schema("core:\nv c\nrayfam L\n")
+    # with no core the family alone quotients to one node, so only the
+    # unattached-family check can reject these
+    for text in ("core:\nv c\nrayfam L\n", "rayfam L\n", "family F pattern { v p }\n"):
+        with pytest.raises(GraphParseError, match="disconnect"):
+            parse_schema(text)
 
 
 def test_multiline_pattern_block():

@@ -213,6 +213,18 @@ def test_end_limit_point_evidence(schemas):
             assert rep["limit_point_evidence"], (name, t.id(), rep)
 
 
+def test_closure_probe_surfaces_internal_failures(schemas, monkeypatch):
+    import tangles.topology as top
+
+    def broken(tangle, sep, Z):
+        raise AssertionError("cut failed")
+
+    monkeypatch.setattr(top, "_component_move", broken)
+    t = uf_tangle(schemas["star"])
+    with pytest.raises(AssertionError, match="cut failed"):
+        closure_probe(t, nonclosed_witness_separation(t), default_schedule(schemas["star"], 2))
+
+
 def test_ray_evidence_is_the_shifted_prefix(schemas):
     ray = schemas["ray"]
     t = end_tangle(ray, end_catalogue(ray).singles[0])

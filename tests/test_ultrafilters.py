@@ -84,7 +84,7 @@ def test_log_replay_reproduces_the_handle(schemas, rng):
 
     core2 = LazyCore.replay("L", cs.class_for("L").indices, u.core.log_json())
     assert core2.base == u.core.base
-    u2 = UltrafilterHandle(cs, "lazy", core=core2)
+    u2 = UltrafilterHandle(cs, core=core2)
     assert [u2.membership(s) for s in sels] == answers
     # a contradictory log is rejected
     bad = u.core.log_json()
