@@ -203,27 +203,29 @@ def verify_subdivision(g: FiniteGraph, K, certificate: dict) -> bool:
 # -- infinite blocks on schemas -------------------------------------------------
 
 
+def clique_block(schema: SchemaGraph, clique: str) -> SymVertexSet:
+    """A clique together with its attached cores, which meet every clique
+    vertex and so cannot be cut off from it."""
+    return SymVertexSet.make(
+        schema,
+        core=frozenset(schema.clique_spec(clique).attach),
+        cliq_idx={clique: SemilinearSet.naturals()},
+    )
+
+
 def infinite_blocks(schema: SchemaGraph) -> list[dict]:
     """Maximal infinite sets pairwise inseparable by finite cuts.
 
     Only a clique provides infinitely many disjoint connections, so these
-    are the cliques together with their attached cores (which meet every
-    clique vertex and so cannot be cut off)."""
-    out = []
-    for c in schema.cliques:
-        vs = SymVertexSet.make(
-            schema,
-            core=frozenset(c.attach),
-            cliq_idx={c.name: SemilinearSet.naturals()},
-        )
-        out.append(
-            {
-                "clique": c.name,
-                "vertices": vs.text(),
-                "attached_cores": sorted(c.attach),
-            }
-        )
-    return out
+    are the clique blocks."""
+    return [
+        {
+            "clique": c.name,
+            "vertices": clique_block(schema, c.name).text(),
+            "attached_cores": sorted(c.attach),
+        }
+        for c in schema.cliques
+    ]
 
 
 def block_pair_check(

@@ -257,6 +257,8 @@ def _dispatch(args) -> int:
         )
 
     if args.cmd == "closed":
+        if args.levels < 1:
+            raise ValueError("--levels must be at least 1")
         schema, digest = _load_schema(args.schema)
         t = _find_tangle(schema, args.tangle)
         closed = is_closed(t)
@@ -304,6 +306,8 @@ def _dispatch(args) -> int:
         return _emit(args, {"input": digest, "branch_vertices": sorted(K)} | cert, ok=ok)
 
     if args.cmd == "observation":
+        if args.samples < 1:
+            raise ValueError("--samples must be at least 1")
         schema, digest = _load_schema(args.schema)
         reports = []
         for t in suite_tangles(schema):

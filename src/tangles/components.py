@@ -15,13 +15,20 @@ when its node is isolated after deleting X.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
-from .semilinear import SemilinearSet
+from .semilinear import ResourceGuardError, SemilinearSet
 from .schema import SchemaGraph, Vertex
 from .symsets import SymVertexSet, union_all
 
 _NAT = SemilinearSet.naturals()
+
+# Explicit quotient nodes allowed per level: core vertices, ray prefixes,
+# family copies times their pattern size, ray-family tails and legs.  A
+# ray-family copy i carries an i-bit tail, so memory grows with the square
+# of the copy count; past the cap the level is refused.
+QUOTIENT_CAP = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -43,10 +50,6 @@ class ComponentSet:
     classes: tuple[FamilyClass, ...]
 
     # -- inspection --------------------------------------------------------
-
-    @property
-    def count_is_finite(self) -> bool:
-        return all(c.indices.is_finite for c in self.classes)
 
     def class_for(self, family: str) -> FamilyClass | None:
         for c in self.classes:
@@ -87,70 +90,30 @@ class ComponentSet:
         return next((loc for loc in locs if holds(self.vertices(loc))), None)
 
     def locate_vertex(self, v: Vertex):
-        """Return ("concrete", k) or ("class", k, copy) for the component of v."""
+        """The locator of the component holding v."""
         if v in self.removed:
             raise ValueError(f"{v} was removed")
-        if v[0] == "fam":
-            cl = self.class_for(v[1])
-            if cl is not None and v[2] in cl.indices:
-                return ("class", self.class_index(v[1]), v[2])
-        for k, c in enumerate(self.concretes):
-            if v in c.vertices:
-                return ("concrete", k)
-        raise ValueError(f"{v} not found in any component")
-
-    def copies_partition(self, family: str, indices: SemilinearSet):
-        """Split a set of whole-copy indices by containing component.
-
-        Returns a list of ``(("class", k) | ("concrete", k), sub_indices)``
-        covering ``indices``; raises if some copy is not whole in any
-        single component (i.e. was touched by the removed set).
-        """
-        out = []
-        rem = indices
-        cl = self.class_for(family)
-        if cl is not None:
-            inter = rem & cl.indices
-            if not inter.is_empty:
-                out.append((("class", self.class_index(family)), inter))
-            rem = rem - cl.indices
-        for k, c in enumerate(self.concretes):
-            if rem.is_empty:
-                break
-            inter = rem & c.vertices.full_copy_indices(family)
-            if not inter.is_empty:
-                out.append((("concrete", k), inter))
-                rem = rem - inter
-        if not rem.is_empty:
-            raise ValueError(
-                f"copies {rem.text()} of {family} are not whole components"
-            )
-        return out
+        loc = self.locate(lambda vs: v in vs, v[1:3] if v[0] == "fam" else None)
+        if loc is None:
+            raise ValueError(f"{v} not found in any component")
+        return loc
 
     # -- selections --------------------------------------------------------
 
     def selection(self, concretes=(), class_parts=None) -> "ComponentSelection":
-        flags = tuple(k in set(concretes) for k in range(len(self.concretes)))
-        parts = []
+        chosen = set(concretes)
+        flags = tuple(k in chosen for k in range(len(self.concretes)))
         class_parts = class_parts or {}
-        for k, c in enumerate(self.classes):
-            p = class_parts.get(c.family, SemilinearSet.empty())
-            parts.append(p & c.indices)
-        return ComponentSelection(self, flags, tuple(parts))
+        parts = tuple(
+            class_parts.get(c.family, SemilinearSet.empty()) & c.indices for c in self.classes
+        )
+        return ComponentSelection(self, flags, parts)
 
     def select_none(self) -> "ComponentSelection":
-        return ComponentSelection(
-            self,
-            tuple(False for _ in self.concretes),
-            tuple(SemilinearSet.empty() for _ in self.classes),
-        )
+        return self.selection()
 
     def select_all(self) -> "ComponentSelection":
-        return ComponentSelection(
-            self,
-            tuple(True for _ in self.concretes),
-            tuple(c.indices for c in self.classes),
-        )
+        return self.selection().complement()
 
     def partition_by(self, inside: SymVertexSet) -> "ComponentSelection":
         """Selection of the components lying wholly inside ``inside``.
@@ -182,33 +145,23 @@ class ComponentSelection:
     concrete_flags: tuple[bool, ...]
     class_parts: tuple[SemilinearSet, ...]
 
-    def _check(self, other: "ComponentSelection"):
+    def _combine(self, other, flag_op, part_op) -> "ComponentSelection":
         if self.cs is not other.cs and self.cs != other.cs:
             raise ValueError("selections over different component sets")
+        return ComponentSelection(
+            self.cs,
+            tuple(map(flag_op, self.concrete_flags, other.concrete_flags)),
+            tuple(map(part_op, self.class_parts, other.class_parts)),
+        )
 
     def union(self, other):
-        self._check(other)
-        return ComponentSelection(
-            self.cs,
-            tuple(a or b for a, b in zip(self.concrete_flags, other.concrete_flags)),
-            tuple(a | b for a, b in zip(self.class_parts, other.class_parts)),
-        )
+        return self._combine(other, operator.or_, operator.or_)
 
     def intersection(self, other):
-        self._check(other)
-        return ComponentSelection(
-            self.cs,
-            tuple(a and b for a, b in zip(self.concrete_flags, other.concrete_flags)),
-            tuple(a & b for a, b in zip(self.class_parts, other.class_parts)),
-        )
+        return self._combine(other, operator.and_, operator.and_)
 
     def difference(self, other):
-        self._check(other)
-        return ComponentSelection(
-            self.cs,
-            tuple(a and not b for a, b in zip(self.concrete_flags, other.concrete_flags)),
-            tuple(a - b for a, b in zip(self.class_parts, other.class_parts)),
-        )
+        return self._combine(other, lambda a, b: a and not b, operator.sub)
 
     def complement(self):
         return ComponentSelection(
@@ -355,13 +308,20 @@ def components(schema: SchemaGraph, X) -> ComponentSet:
                     m_ray[rn] = b
                     changed = True
 
-    nodes: set = set()
+    size = len(schema.core.vertices) + sum(m + 1 for m in m_ray.values())
+    size += sum(m + 1 for m in leg_pos.values())
+    for f in schema.families:
+        size += (t_fam[f.name] + 1) * (1 if f.is_ray_family else len(f.pattern_vertices()))
+    if size > QUOTIENT_CAP:
+        raise ResourceGuardError(
+            f"quotient of {size} explicit nodes exceeds the cap of {QUOTIENT_CAP}"
+        )
+
     adj: dict[object, set] = {}
     vsets: dict[object, SymVertexSet] = {}  # explicit ("v", v) nodes carry none
 
     def add_node(n, vset=None):
         if n not in adj:
-            nodes.add(n)
             adj[n] = set()
             if vset is not None:
                 vsets[n] = vset
@@ -441,7 +401,7 @@ def components(schema: SchemaGraph, X) -> ComponentSet:
     removed_nodes = {vnode(v) for v in X}
     seen = set(removed_nodes)
     comps: list[list] = []
-    for start in sorted(nodes, key=str):
+    for start in adj:
         if start in seen:
             continue
         stack, comp = [start], [start]

@@ -102,6 +102,8 @@ def end_catalogue(schema: SchemaGraph) -> EndCatalogue:
 def leg_end(schema: SchemaGraph, family: str, index: int) -> End:
     if not schema.family_spec(family).is_ray_family:
         raise ValueError(f"{family} is not a ray family")
+    if index < 0:
+        raise ValueError(f"leg index {index} is negative")
     return End("leg", (family,), index)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .blocks import clique_block
 from .components import ComponentSelection, components
 from .infinite_tangles import (
     Tangle,
@@ -27,8 +28,8 @@ from .infinite_tangles import (
 from .schema import SchemaGraph, Vertex, level_text, parse_level, vertex_text
 from .semilinear import SemilinearSet
 from .separations import OrientedSeparation, from_bipartition
-from .symsets import SymVertexSet
-from .ultrafilters import LazyCore, UltrafilterHandle, preimage_selection, principal_at
+from .symsets import SymVertexSet, union_all
+from .ultrafilters import LazyCore, UltrafilterHandle, principal_at
 
 
 @dataclass(frozen=True)
@@ -109,13 +110,10 @@ def extract_subcover(schema: SchemaGraph, opens: list[BasicOpen]) -> dict:
         raise ValueError("empty cover")
     union_level = frozenset().union(*(o.level for o in opens))
     fine = components(schema, union_level)
-    covered = fine.select_none()
-    rewritten = []
-    for o in opens:
-        pre = preimage_selection(o.selection, fine)
-        rewritten.append(pre)
-        covered = covered | pre
-    leftover = fine.select_all() - covered
+    # a fine component lies in an open's selected set or misses it, so it
+    # lies in their union exactly when some open selects it
+    covered = fine.partition_by(union_all(schema, [o.selection.union_vertices() for o in opens]))
+    leftover = covered.complement()
     base = {
         "union_level": sorted(vertex_text(v) for v in union_level),
         "opens": [o.text() for o in opens],
@@ -180,12 +178,7 @@ def kernel(tangle: Tangle) -> SymVertexSet:
         )
     end = tangle.end
     if end.kind == "clique":
-        spec = schema.clique_spec(end.names[0])
-        return SymVertexSet.make(
-            schema,
-            core=frozenset(spec.attach),
-            cliq_idx={end.names[0]: SemilinearSet.naturals()},
-        )
+        return clique_block(schema, end.names[0])
     if end.kind == "leg":
         return SymVertexSet.empty(schema)
     dominators = set()
@@ -280,7 +273,7 @@ def closure_probe(tangle: Tangle, sep: OrientedSeparation, schedule) -> dict:
         "tangle": tangle.id(),
         "separation": sep.text(),
         "levels": len(evidence),
-        "limit_point_evidence": len(found) == len(evidence),
+        "limit_point_evidence": bool(evidence) and len(found) == len(evidence),
         "evidence": evidence,
     }
 

@@ -179,24 +179,9 @@ def lift_ultrafilter(U: UltrafilterHandle, Xp) -> UltrafilterHandle:
 
 def preimage_selection(sel: ComponentSelection, fine: ComponentSet) -> ComponentSelection:
     """The components at the finer level contained in some selected coarse component."""
-    coarse = sel.cs
-    if not coarse.removed <= fine.removed:
+    if not sel.cs.removed <= fine.removed:
         raise ValueError("preimage goes from coarse to fine levels")
-    flags = []
-    for c in fine.concretes:
-        loc = coarse.locate_vertex(c.vertices.some_vertex())
-        flags.append(sel.contains_component(loc))
-    parts = []
-    for cl in fine.classes:
-        part = SemilinearSet.empty()
-        for target, sub in coarse.copies_partition(cl.family, cl.indices):
-            if target[0] == "class":
-                k = target[1]
-                part = part | (sub & sel.class_parts[k])
-            elif sel.concrete_flags[target[1]]:
-                part = part | sub
-        parts.append(part)
-    return ComponentSelection(fine, tuple(flags), tuple(parts))
+    return fine.partition_by(sel.union_vertices())
 
 
 # -- limits ------------------------------------------------------------------

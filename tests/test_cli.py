@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -144,6 +146,12 @@ def test_check_deterministic(capsys):
     assert json.loads(out1)["ok"]
 
 
+def test_check_seed7_json_is_pinned(capsys):
+    code, out = run(capsys, "check", "--seed", "7", "--json")
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == "f031b3fcc583937821bb846daa3a8228"
+
+
 def test_check_fails_on_a_wrong_oracle_answer(capsys, monkeypatch):
     from tangles import suite
 
@@ -174,6 +182,25 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     assert main(["finite", str(bad), "--order", "2"]) == 2
     assert main(["census", str(tmp_path / "missing.schema")]) == 2
     assert main(["dot", "builtin:nosuch"]) == 2
+    sep = "sep X={core:c} B={L{0}}"
+    assert main(["orient", "builtin:spider", "--tangle", "end:L:-1", "--sep", sep]) == 2
+    # no verdict over zero probe levels or zero sampled stars
+    assert main(["closed", "builtin:star", "--tangle", "uf:L", "--levels", "0"]) == 2
+    assert main(["observation", "builtin:ray", "--samples", "0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orient", "builtin:ray", "--tangle", "end:R", "--sep", "sep X={ray:R:99999999} B={c1}"],
+        ["uf", "builtin:spider", "--at", "fam:L:262144:0"],
+    ],
+)
+def test_deep_level_trips_the_guard(capsys, argv):
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 2
+    assert "resource guard" in capsys.readouterr().err
 
 
 def test_dot_output(capsys, k4_file):

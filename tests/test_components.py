@@ -6,6 +6,7 @@ from tangles.sampling import random_level
 from tangles.schema import SchemaGraph, vertex_text
 from tangles.semilinear import SemilinearSet
 from tangles.suite import symbolic_components_below, truncation_components
+from tangles.symsets import SymVertexSet
 
 
 def test_path_middle_vertex():
@@ -68,16 +69,21 @@ def test_oracle_against_truncations(name, schemas, rng):
             ), (name, sorted(map(vertex_text, X)), n)
 
 
-def test_locate_vertex_and_copies_partition(schemas):
+def test_locate_vertex_and_partition_by(schemas):
     spider = schemas["spider"]
     X = frozenset({("core", "c")})
     cs = components(spider, X)
     kind, k, i = cs.locate_vertex(("fam", "L", 5, 2))
     assert (kind, i) == ("class", 5)
-    parts = cs.copies_partition("L", SemilinearSet.progression(0, 2))
-    assert len(parts) == 1 and parts[0][0][0] == "class"
+    evens = SemilinearSet.progression(0, 2)
+    sel = cs.partition_by(SymVertexSet.whole_copies(spider, "L", evens))
+    assert sel == cs.selection(class_parts={"L": evens})
     with pytest.raises(ValueError):
         cs.locate_vertex(("core", "c"))
+    # a cut leg's tail is a concrete component, not a class member
+    cut = components(spider, X | {("fam", "L", 3, 0)})
+    loc = cut.locate_vertex(("fam", "L", 3, 2))
+    assert loc[0] == "concrete" and ("fam", "L", 3, 2) in cut.vertices(loc)
 
 
 def test_selection_algebra_and_text(schemas):

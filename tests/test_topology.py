@@ -2,6 +2,7 @@ import networkx as nx
 import pytest
 from nx_reference import to_networkx
 
+from tangles.blocks import infinite_blocks
 from tangles.components import components
 from tangles.infinite_tangles import (
     end_catalogue,
@@ -13,7 +14,7 @@ from tangles.infinite_tangles import (
     uf_tangle,
 )
 from tangles.sampling import random_separation
-from tangles.schema import vertex_text
+from tangles.schema import parse_schema, vertex_text
 from tangles.semilinear import SemilinearSet
 from tangles.separations import from_bipartition
 from tangles.topology import (
@@ -233,6 +234,19 @@ def test_ray_evidence_is_the_shifted_prefix(schemas):
     (entry,) = rep["evidence"]
     assert entry["result"] == "agreeing_member"
     assert "ray:R" in entry["member"]
+    # an empty schedule is no evidence
+    assert closure_probe(t, s, [])["limit_point_evidence"] is False
+
+
+WITH_TWO_CLIQUES = "core:\nv c\nv d\nedge:\ne c d\nclique K attach c\nclique M attach c d\nray R at d\n"
+
+
+def test_closed_kernels_are_the_infinite_blocks(schemas):
+    cases = list(schemas.values()) + [parse_schema(WITH_TWO_CLIQUES)]
+    for schema in cases:
+        kernels = sorted(kernel(t).text() for t in suite_tangles(schema) if is_closed(t))
+        assert kernels == sorted(b["vertices"] for b in infinite_blocks(schema))
+    assert len(kernels) == 2
 
 
 def test_closed_tangle_certificate(schemas):

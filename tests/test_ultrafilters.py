@@ -1,5 +1,6 @@
 import pytest
 
+from tangles.builtin import EXTRAS, SUITE
 from tangles.components import components
 from tangles.sampling import random_level, random_selection
 from tangles.semilinear import SemilinearSet
@@ -169,7 +170,8 @@ def test_restriction_functorial(schemas, rng):
 
 
 def test_preimage_matches_restriction(schemas, rng):
-    for name in ("star", "spider", "fan", "twohub"):
+    checks = 0
+    for name in SUITE + EXTRAS:
         schema = schemas[name]
         for _ in range(20):
             X = random_level(schema, rng, 2, 6)
@@ -177,12 +179,14 @@ def test_preimage_matches_restriction(schemas, rng):
             cs, csp = components(schema, X), components(schema, Xp)
             sel = random_selection(cs, rng)
             pre = preimage_selection(sel, csp)
-            for k in range(len(csp.concretes)):
-                u = principal_at(csp, ("concrete", k))
-                assert u.membership(pre) == restrict_ultrafilter(u, X).membership(sel)
+            locs = [("concrete", k) for k in range(len(csp.concretes))]
             for kk, cl in enumerate(csp.classes):
-                u = principal_at(csp, ("class", kk, cl.indices.min_value()))
+                locs += [("class", kk, i) for i in cl.indices.first(3)]
+            for loc in locs:
+                u = principal_at(csp, loc)
                 assert u.membership(pre) == restrict_ultrafilter(u, X).membership(sel)
+                checks += 1
+    assert checks >= 350
 
 
 def test_preimage_edge_cases(schemas):
