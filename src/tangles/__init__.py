@@ -4,57 +4,13 @@ Separation algebra, ultrafilters of cofinite components and their inverse
 system, end and ultrafilter tangles, the compactification's basic opens,
 kernels and closedness, and k-blocks, all cross-validated by brute-force
 oracles on finite truncations.
+
+The root re-exports only the entry points of the README's library sketch;
+everything else is imported from its submodule, e.g.
+``from tangles.components import components``.
 """
 
-from .graphs import FiniteGraph, parse_finite
-from .schema import SchemaGraph, parse_schema
-from .semilinear import SemilinearSet
-from .symsets import SymVertexSet
-from .components import components, ComponentSet, ComponentSelection
-from .separations import (
-    OrientedSeparation,
-    from_bipartition,
-    from_vertex_sides,
-    is_consistent,
-    is_star,
-    parse_separation,
-)
-from .ultrafilters import (
-    LimitFamily,
-    UltrafilterHandle,
-    lazy_on,
-    lift_ultrafilter,
-    preimage_selection,
-    principal_at,
-    principal_at_vertex,
-    restrict_ultrafilter,
-)
-from .infinite_tangles import (
-    End,
-    Tangle,
-    census,
-    classify,
-    end_catalogue,
-    end_tangle,
-    induced_ultrafilter,
-    in_tangle,
-    leg_end,
-    limit_from,
-    limit_of_tangle,
-    minimal_witness,
-    orient,
-    suite_tangles,
-    tangle_from_limit,
-    uf_tangle,
-)
-from .topology import (
-    BasicOpen,
-    basic_open,
-    closure_probe,
-    extract_subcover,
-    is_closed,
-    kernel,
-)
-from .blocks import build_clique_subdivision, infinite_blocks, is_inseparable, k_blocks
+from .infinite_tangles import census, orient, uf_tangle
+from .separations import from_bipartition
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = ["census", "from_bipartition", "orient", "uf_tangle"]

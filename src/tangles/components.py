@@ -11,6 +11,17 @@ explicit vertices near X, one tail node per ray (and per touched
 ray-family copy), one node per untouched copy class, and one remainder
 node per clique.  A copy class splits into per-index components exactly
 when its node is isolated after deleting X.
+
+This module is the one place that reads how parts attach.  Each class
+records ``attach``, the neighbourhood of every copy (its node's quotient
+neighbours).  Each concrete component records the explicit neighbours of
+its class and clique nodes and the cliques it holds, from which
+``ComponentSet.dominators`` gives the vertices with infinitely many
+neighbours in it.  At the core level (``core_components``) the infinite
+classes are the critical vertex sets of the graph, the sets X with
+infinitely many components of G - X whose neighbourhood is exactly X, and
+every concrete component holds exactly one end; witnesses and kernels are
+read from there.
 """
 
 from __future__ import annotations
@@ -31,15 +42,19 @@ _NAT = SemilinearSet.naturals()
 QUOTIENT_CAP = 1 << 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Concrete:
     vertices: SymVertexSet
+    # the explicit neighbours of its class and clique nodes, and those cliques
+    near: tuple[Vertex, ...] = field(compare=False)
+    cliques: tuple[str, ...] = field(compare=False)
 
 
 @dataclass(frozen=True)
 class FamilyClass:
     family: str
     indices: SemilinearSet  # one component per index; all copies whole
+    attach: frozenset[Vertex] = field(compare=False)  # the neighbourhood of every copy
 
 
 @dataclass(frozen=True)
@@ -71,6 +86,16 @@ class ComponentSet:
         if loc[0] == "concrete":
             return self.concretes[loc[1]].vertices
         return self.member_vertices(self.classes[loc[1]].family, loc[2])
+
+    def dominators(self, loc) -> SymVertexSet:
+        """The vertices with infinitely many neighbours in the component a
+        locator names, removed or not: those next to its class and clique
+        nodes, and those cliques.  A class member, one copy, has none."""
+        if loc[0] != "concrete":
+            return SymVertexSet.empty(self.schema)
+        c = self.concretes[loc[1]]
+        cliques = [SymVertexSet.clique_part(self.schema, k, _NAT) for k in c.cliques]
+        return union_all(self.schema, [SymVertexSet.of(self.schema, c.near), *cliques])
 
     def only(self, loc) -> "ComponentSelection":
         """The selection of the one component a locator names."""
@@ -421,15 +446,30 @@ def components(schema: SchemaGraph, X) -> ComponentSet:
         if len(comp) == 1 and comp[0][0] == "fclass":
             fname = comp[0][1]
             indices = SemilinearSet.from_(t_fam[fname] + 1)
-            classes.append(FamilyClass(fname, indices))
+            classes.append(FamilyClass(fname, indices, frozenset(y[1] for y in adj[comp[0]])))
         else:
             explicit = SymVertexSet.of(schema, [n[1] for n in comp if n[0] == "v"])
-            vs = union_all(schema, [explicit] + [vsets[n] for n in comp if n[0] != "v"])
+            parts = [n for n in comp if n[0] != "v"]
+            vs = union_all(schema, [explicit] + [vsets[n] for n in parts])
             if not vs.is_empty:
-                concretes.append(Concrete(vs))
+                hubs = [n for n in parts if n[0] in ("fclass", "crem")]
+                near = tuple({y[1] for n in hubs for y in adj[n] if y[0] == "v"})
+                cliques = tuple(n[1] for n in hubs if n[0] == "crem")
+                concretes.append(Concrete(vs, near, cliques))
 
     concretes.sort(key=lambda c: c.vertices.text())
     classes.sort(key=lambda c: c.family)
     cs = ComponentSet(schema, X, tuple(concretes), tuple(classes))
     cache[X] = cs
     return cs
+
+
+def core_components(schema: SchemaGraph) -> ComponentSet:
+    """The components at the core level, the level of every core vertex.
+
+    Deleting the core detaches every family attached to the core alone, so
+    the infinite classes here are exactly the families whose copies split
+    off at some finite level, the least such level being ``attach``.  No
+    other part is cut, so each concrete component holds exactly one end.
+    """
+    return components(schema, {("core", c) for c in schema.core.vertices})

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .abstract import finite_far_side
-from .components import ComponentSet, components
+from .components import ComponentSet, FamilyClass, components, core_components
 from .sampling import random_level, random_selection, random_separation
 from .schema import SchemaGraph, Vertex, vertex_sort_key, vertex_text
 from .semilinear import SemilinearSet
@@ -146,18 +146,11 @@ def end_tangle(schema: SchemaGraph, end: End) -> Tangle:
     return Tangle(schema, end=end)
 
 
-def uf_tangle(
-    schema: SchemaGraph, family: str | None = None, level: frozenset | None = None
-) -> Tangle:
-    """A fresh ultrafilter tangle concentrated on a family's copy class."""
-    if family is None:
-        cands = splittable_families(schema)
-        if not cands:
-            raise ValueError("schema has no splittable family")
-        family = cands[0]
-    if level is None:
-        level = hub_vertices(schema, family)
-    return Tangle(schema, handle=lazy_on(components(schema, level), family))
+def uf_tangle(schema: SchemaGraph, family: str | None = None) -> Tangle:
+    """A fresh ultrafilter tangle concentrated on a family's copy class,
+    by default the first family that carries one, at its least witness."""
+    cl = critical_class(schema, family)
+    return Tangle(schema, handle=lazy_on(components(schema, cl.attach), cl.family))
 
 
 def uf_tangle_from_handle(handle: UltrafilterHandle) -> Tangle:
@@ -166,15 +159,31 @@ def uf_tangle_from_handle(handle: UltrafilterHandle) -> Tangle:
     return Tangle(handle.schema, handle=handle)
 
 
-def splittable_families(schema: SchemaGraph) -> list[str]:
-    """Families attached to the core only: deleting their hubs detaches
-    every copy, so infinitely many components split off."""
-    return [f.name for f in schema.families if f.core_attach and not f.ray_attach]
+def critical_classes(schema: SchemaGraph) -> list[FamilyClass]:
+    """The infinite component classes at the core level, in schema order.
+
+    Each is infinitely many copies of one family with the same
+    neighbourhood ``attach``, a critical vertex set: a finite X such that
+    infinitely many components of G - X have neighbourhood exactly X.  The
+    ultrafilter tangles are the non-principal ultrafilters on these
+    classes, so these are the families that carry one.
+    """
+    order = {f.name: k for k, f in enumerate(schema.families)}
+    classes = [cl for cl in core_components(schema).classes if cl.indices.is_infinite]
+    return sorted(classes, key=lambda cl: order[cl.family])
 
 
-def hub_vertices(schema: SchemaGraph, family: str) -> frozenset[Vertex]:
-    f = schema.family_spec(family)
-    return frozenset(("core", c) for c, _ in f.core_attach)
+def critical_class(schema: SchemaGraph, family: str | None = None) -> FamilyClass:
+    """The critical class of the given family, by default the first."""
+    classes = critical_classes(schema)
+    for cl in classes:
+        if family in (None, cl.family):
+            return cl
+    carriers = ", ".join(cl.family for cl in classes) or "none"
+    subject = "the schema" if family is None else f"family {family!r}"
+    raise ValueError(
+        f"{subject} carries no ultrafilter tangle; families that carry one: {carriers}"
+    )
 
 
 def induced_ultrafilter(tangle: Tangle, X) -> UltrafilterHandle:
@@ -202,13 +211,9 @@ def in_tangle(tangle: Tangle, sep: OrientedSeparation) -> bool:
 
 
 def witness_candidates(schema: SchemaGraph) -> list[frozenset]:
-    """Levels that can split off infinitely many components.
-
-    Only deleting all core attachments of a family detaches its copies,
-    so the hub sets of core-attached families are the only candidates.
-    """
-    hubs = (hub_vertices(schema, name) for name in splittable_families(schema))
-    return list(dict.fromkeys([frozenset(), *hubs]))
+    """The empty level and every critical vertex set: the least levels at
+    which infinitely many components split off."""
+    return list(dict.fromkeys([frozenset(), *(cl.attach for cl in critical_classes(schema))]))
 
 
 def classify(tangle: Tangle) -> str:
@@ -223,33 +228,7 @@ def minimal_witness(tangle: Tangle) -> frozenset[Vertex]:
     """The least level whose induced ultrafilter is non-principal."""
     if tangle.kind != "uf":
         raise ValueError("end tangles have no witness")
-    least = hub_vertices(tangle.schema, tangle.handle.core.family)
-    if induced_ultrafilter(tangle, least).is_principal:
-        raise AssertionError("witness analysis failed")
-    return least
-
-
-# -- directions -----------------------------------------------------------------
-
-
-@dataclass
-class Direction:
-    tangle: Tangle
-
-    def component(self, X):
-        u = induced_ultrafilter(self.tangle, X)
-        if not u.is_principal:
-            raise ValueError("no direction at a non-principal level")
-        return u.gen
-
-    def vertex_set(self, X) -> SymVertexSet:
-        return induced_ultrafilter(self.tangle, X).generator_vertices()
-
-
-def direction_of(tangle: Tangle) -> Direction:
-    if classify(tangle) != "end":
-        raise ValueError("only end tangles define a direction")
-    return Direction(tangle)
+    return critical_class(tangle.schema, tangle.handle.core.family).attach
 
 
 # -- limits <-> tangles -----------------------------------------------------------
@@ -274,12 +253,12 @@ def limit_from(schema: SchemaGraph, X, u: UltrafilterHandle) -> LimitFamily:
     end = _end_in(schema, gen)
     if end is not None:
         return limit_of_tangle(end_tangle(schema, end))
-    # rayless infinite component: split it at the hubs of a family inside it
-    for fam in splittable_families(schema):
-        if gen.full_copy_indices(fam).is_infinite:
-            level = X | hub_vertices(schema, fam)
-            return limit_from_nonprincipal(lazy_on(components(schema, level), fam))
-    raise AssertionError("infinite rayless component without a splittable family")
+    # rayless infinite component: split it at the attachments of a class inside it
+    for cl in critical_classes(schema):
+        if gen.full_copy_indices(cl.family).is_infinite:
+            level = X | cl.attach
+            return limit_from_nonprincipal(lazy_on(components(schema, level), cl.family))
+    raise AssertionError("infinite rayless component without a critical class")
 
 
 def _end_in(schema: SchemaGraph, vs: SymVertexSet) -> End | None:
@@ -301,16 +280,13 @@ def limit_of_tangle(tangle: Tangle) -> LimitFamily:
 def tangle_from_limit(limit: LimitFamily) -> Tangle:
     """The tangle whose induced ultrafilters agree with the family."""
     schema = limit.schema
-    for X in witness_candidates(schema):
-        u = limit.eval(X)
-        if not u.is_principal:
-            least = hub_vertices(schema, u.core.family)
-            return uf_tangle_from_handle(restrict_ultrafilter(u, least))
-    # end tangle: the generator at a level separating all ends holds just one
-    deep = {("ray", r.name, 1) for r in schema.rays}
-    deep |= {("core", c) for f in schema.families for c, _ in f.core_attach}
-    deep |= {("core", cv) for c in schema.cliques for cv in c.attach}
-    end = _end_in(schema, limit.eval(frozenset(deep)).generator_vertices())
+    # every critical set lies in the core, and each infinite component at
+    # the core level holds exactly one end
+    u = limit.eval(core_components(schema).removed)
+    if not u.is_principal:
+        least = critical_class(schema, u.core.family).attach
+        return uf_tangle_from_handle(restrict_ultrafilter(u, least))
+    end = _end_in(schema, u.generator_vertices())
     if end is None:
         raise AssertionError("limit family matches no tangle")
     return end_tangle(schema, end)
@@ -320,11 +296,11 @@ def tangle_from_limit(limit: LimitFamily) -> Tangle:
 
 
 def uf_classes(schema: SchemaGraph) -> list[dict]:
-    out = []
-    for name in splittable_families(schema):
-        hubs = sorted(hub_vertices(schema, name), key=vertex_sort_key)
-        out.append({"witness": [vertex_text(v) for v in hubs], "family": name})
-    return out
+    return [
+        {"witness": [vertex_text(v) for v in sorted(cl.attach, key=vertex_sort_key)],
+         "family": cl.family}
+        for cl in critical_classes(schema)
+    ]
 
 
 def census(schema: SchemaGraph) -> dict:
@@ -368,13 +344,13 @@ def expected_estimate(schema: SchemaGraph, n: int) -> int:
 
 def suite_tangles(schema: SchemaGraph) -> list[Tangle]:
     """Representatives: every single end, two legs per leg family, one lazy
-    ultrafilter tangle per splittable family."""
+    ultrafilter tangle per critical class."""
     cat = end_catalogue(schema)
     out = [end_tangle(schema, e) for e in cat.singles]
     for fam in cat.leg_families:
         out.append(end_tangle(schema, leg_end(schema, fam, 0)))
         out.append(end_tangle(schema, leg_end(schema, fam, 3)))
-    out += [uf_tangle(schema, family=fam) for fam in splittable_families(schema)]
+    out += [uf_tangle(schema, family=cl.family) for cl in critical_classes(schema)]
     return out
 
 

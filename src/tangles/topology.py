@@ -14,12 +14,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .blocks import clique_block
-from .components import ComponentSelection, components
+from .components import ComponentSelection, components, core_components
 from .infinite_tangles import (
     Tangle,
     end_component,
-    hub_vertices,
     in_tangle,
     induced_ultrafilter,
     limit_from,
@@ -165,33 +163,17 @@ def agree_on(s: OrientedSeparation, t: OrientedSeparation, Z) -> bool:
 def kernel(tangle: Tangle) -> SymVertexSet:
     """Vertices on the far side of every member of the tangle.
 
-    For ultrafilter tangles these are exactly the hubs of the
-    concentration family.  For end tangles they are the vertices that no
-    finite deletion separates from the end: the clique (plus its attached
-    cores) for clique ends, and the cores tied to the end's rays through
-    an aligned attached family otherwise.
+    These are the vertices that no finite deletion avoiding them separates
+    from the tangle: the dominators of its induced ultrafilter at the core
+    level.  For an end that is its component's dominators (the clique and
+    its attached cores for a clique end, none for a leg); for an
+    ultrafilter tangle, the attachments of its critical class.
     """
-    schema = tangle.schema
-    if tangle.kind == "uf":
-        return SymVertexSet.of(
-            schema, hub_vertices(schema, tangle.handle.core.family)
-        )
-    end = tangle.end
-    if end.kind == "clique":
-        return clique_block(schema, end.names[0])
-    if end.kind == "leg":
-        return SymVertexSet.empty(schema)
-    dominators = set()
-    for f in schema.families:
-        if f.core_attach and any(rn in end.names for rn in schema.aligned_rays(f)):
-            dominators.update(c for c, _ in f.core_attach)
-    return SymVertexSet.make(schema, core=dominators)
+    return induced_ultrafilter(tangle, core_components(tangle.schema).removed).dominators()
 
 
 def is_closed(tangle: Tangle) -> bool:
     """Closed in the separation space iff the kernel is infinite."""
-    if tangle.kind == "uf":
-        return False
     return kernel(tangle).is_infinite
 
 

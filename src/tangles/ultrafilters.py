@@ -92,6 +92,13 @@ class UltrafilterHandle:
             raise ValueError("lazy handle has no generating component")
         return self.cs.vertices(self.gen)
 
+    def dominators(self) -> SymVertexSet:
+        """The vertices with infinitely many neighbours in every member: those
+        of the generating component, or the attachments of the class."""
+        if self.is_principal:
+            return self.cs.dominators(self.gen)
+        return SymVertexSet.of(self.schema, self.cs.class_for(self.core.family).attach)
+
     def membership(self, sel: ComponentSelection) -> bool:
         if sel.cs is not self.cs and sel.cs != self.cs:
             raise ValueError("selection over a different component set")

@@ -225,3 +225,12 @@ def test_wide_index_set_query_terminates():
         env=os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode in (0, 3), proc.stderr
+
+
+def test_uf_tangle_on_a_family_without_one(capsys):
+    assert main(["witness", "builtin:star", "--tangle", "uf:Z"]) == 2
+    err = capsys.readouterr().err
+    assert "family 'Z' carries no ultrafilter tangle; families that carry one: L" in err
+    assert main(["witness", "builtin:fan", "--tangle", "uf:T"]) == 2
+    err = capsys.readouterr().err
+    assert "family 'T' carries no ultrafilter tangle; families that carry one: none" in err

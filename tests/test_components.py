@@ -161,3 +161,31 @@ def test_partition_by_rejects_straddling(schemas):
     half = SymVertexSet.make(star, core=frozenset("c"))
     with pytest.raises(ValueError, match="straddles"):
         cs.partition_by(half)
+
+
+def test_package_root_leaves_the_components_submodule_alone(schemas):
+    import types
+
+    import tangles
+    import tangles.components as C
+
+    assert isinstance(C, types.ModuleType) and tangles.components is C
+    assert len(C.components(schemas["star"], frozenset()).concretes) == 1
+
+
+def test_attachments_and_dominators(schemas):
+    star, fan, cliq = schemas["star"], schemas["fan"], schemas["cliq"]
+    (cl,) = components(star, {("core", "c")}).classes
+    assert cl.attach == frozenset({("core", "c")})
+    cs = components(star, frozenset())
+    assert cs.dominators(("concrete", 0)) == SymVertexSet.of(star, [("core", "c")])
+    # the hub reaches infinitely many teeth, which a deleted spine prefix leaves alone
+    cs = components(fan, {("core", "c"), ("ray", "R", 2)})
+    k = cs.locate(lambda vs: vs.ray_set("R").is_infinite)
+    assert cs.dominators(k) == SymVertexSet.of(fan, [("core", "c")])
+    # a deleted clique vertex still sees all of the rest
+    cs = components(cliq, {("cliq", "K", 0)})
+    assert cs.dominators(("concrete", 0)).cliq_set("K") == SemilinearSet.naturals()
+    spider = schemas["spider"]
+    cs = components(spider, {("core", "c")})
+    assert cs.dominators(("class", 0, 4)).is_empty
