@@ -10,7 +10,12 @@ The computation works on a finite quotient graph whose nodes are the
 explicit vertices near X, one tail node per ray (and per touched
 ray-family copy), one node per untouched copy class, and one remainder
 node per clique.  A copy class splits into per-index components exactly
-when its node is isolated after deleting X.
+when its node is isolated after deleting X.  The non-explicit nodes carry
+raw slot patterns (``SymVertexSet`` slots as ``(t, d, low, cycle)``), and
+a ray-family tail its holes, so each component's vertex set is assembled
+once: one index-set union per slot over its nodes' patterns and its
+explicit vertices (``SymVertexSet.assemble``).  Concretes are ordered by
+their text.
 
 This module is the one place that reads how parts attach.  Each class
 records ``attach``, the neighbourhood of every copy (its node's quotient
@@ -27,13 +32,16 @@ read from there.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass, field
 
 from .semilinear import ResourceGuardError, SemilinearSet
 from .schema import SchemaGraph, Vertex
-from .symsets import SymVertexSet, union_all
+from .symsets import SymVertexSet, _fam_keys, union_all
 
 _NAT = SemilinearSet.naturals()
+# a comma outside braces: no closing brace follows before the next opening one
+_TOP_COMMA = re.compile(r",(?![^{}]*\})")
 
 # Explicit quotient nodes allowed per level: core vertices, ray prefixes,
 # family copies times their pattern size, ray-family tails and legs.  A
@@ -256,21 +264,7 @@ class ComponentSelection:
         body = text[1:-1].strip()
         flags = [False] * len(cs.concretes)
         parts = {c.family: SemilinearSet.empty() for c in cs.classes}
-        # split on commas not inside braces
-        items, depth, cur = [], 0, ""
-        for ch in body:
-            if ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-            if ch == "," and depth == 0:
-                items.append(cur)
-                cur = ""
-            else:
-                cur += ch
-        if cur.strip():
-            items.append(cur)
-        for item in items:
+        for item in _TOP_COMMA.split(body):
             item = item.strip()
             if not item:
                 continue
@@ -296,10 +290,11 @@ class ComponentSelection:
 
 def components(schema: SchemaGraph, X) -> ComponentSet:
     """The components of the schema graph minus the finite explicit set X."""
-    X = schema.check_vertices(X)
+    X = frozenset(X)
     cache = schema._component_cache
-    if X in cache:
+    if X in cache:  # only valid levels are cached
         return cache[X]
+    schema.check_vertices(X)
 
     m_ray = {r.name: -1 for r in schema.rays}
     t_fam = {f.name: -1 for f in schema.families}
@@ -343,13 +338,15 @@ def components(schema: SchemaGraph, X) -> ComponentSet:
         )
 
     adj: dict[object, set] = {}
-    vsets: dict[object, SymVertexSet] = {}  # explicit ("v", v) nodes carry none
+    # the slot patterns of each non-explicit node, ((key, (t, d, low, cycle)), ...)
+    patterns: dict[object, tuple] = {}
+    holes: dict[object, list[Vertex]] = {}  # a ray-family tail's explicit positions
 
-    def add_node(n, vset=None):
+    def add_node(n, pats=None):
         if n not in adj:
             adj[n] = set()
-            if vset is not None:
-                vsets[n] = vset
+            if pats is not None:
+                patterns[n] = pats
 
     def add_edge(a, b):
         if a != b:
@@ -371,7 +368,7 @@ def components(schema: SchemaGraph, X) -> ComponentSet:
             if p > 0:
                 add_edge(vnode(("ray", r.name, p - 1)), vnode(("ray", r.name, p)))
         tail = ("rtail", r.name)
-        add_node(tail, SymVertexSet.ray_tail(schema, r.name, m + 1))
+        add_node(tail, ((("ray", r.name), (m + 1, 1, 0, 1)),))
         if m >= 0:
             add_edge(vnode(("ray", r.name, m)), tail)
         if r.hub is not None:
@@ -381,9 +378,7 @@ def components(schema: SchemaGraph, X) -> ComponentSet:
     for f in schema.families:
         bound = t_fam[f.name] + 1
         cls_node = ("fclass", f.name)
-        add_node(
-            cls_node, SymVertexSet.whole_copies(schema, f.name, SemilinearSet.from_(bound))
-        )
+        add_node(cls_node, tuple((k, (bound, 1, 0, 1)) for k in _fam_keys(f)))
         for c, pv in f.core_attach:
             if f.is_ray_family and pv != 0:
                 continue
@@ -399,7 +394,8 @@ def components(schema: SchemaGraph, X) -> ComponentSet:
                     if p > 0:
                         add_edge(vnode(("fam", f.name, i, p - 1)), vnode(vv))
                 tail = ("ftail", f.name, i)
-                add_node(tail, SymVertexSet.copy_tail(schema, f.name, i, m + 1))
+                add_node(tail, ((("fam", f.name), (i + 1, 1, 1 << i, 0)),))
+                holes[tail] = [("fam", f.name, i, p) for p in range(m + 1)]
                 if m >= 0:
                     add_edge(vnode(("fam", f.name, i, m)), tail)
                 for c, _ in f.core_attach:
@@ -417,9 +413,10 @@ def components(schema: SchemaGraph, X) -> ComponentSet:
                     add_edge(vnode(("ray", rn, i)), vnode(("fam", f.name, i, pv)))
 
     for c in schema.cliques:
-        rest = _NAT - SemilinearSet.make(deleted_cliq[c.name])
+        gone = sum(1 << i for i in deleted_cliq[c.name])
+        t = gone.bit_length()
         node = ("crem", c.name)
-        add_node(node, SymVertexSet.clique_part(schema, c.name, rest))
+        add_node(node, ((("cliq", c.name), (t, 1, ~gone & ((1 << t) - 1), 1)),))
         for cv in c.attach:
             add_edge(vnode(("core", cv)), node)
 
@@ -448,16 +445,22 @@ def components(schema: SchemaGraph, X) -> ComponentSet:
             indices = SemilinearSet.from_(t_fam[fname] + 1)
             classes.append(FamilyClass(fname, indices, frozenset(y[1] for y in adj[comp[0]])))
         else:
-            explicit = SymVertexSet.of(schema, [n[1] for n in comp if n[0] == "v"])
+            explicit = [n[1] for n in comp if n[0] == "v"]
             parts = [n for n in comp if n[0] != "v"]
-            vs = union_all(schema, [explicit] + [vsets[n] for n in parts])
+            vs = SymVertexSet.assemble(
+                schema,
+                explicit,
+                [p for n in parts for p in patterns[n]],
+                [h for n in parts for h in holes.get(n, ())],
+            )
             if not vs.is_empty:
                 hubs = [n for n in parts if n[0] in ("fclass", "crem")]
                 near = tuple({y[1] for n in hubs for y in adj[n] if y[0] == "v"})
                 cliques = tuple(n[1] for n in hubs if n[0] == "crem")
                 concretes.append(Concrete(vs, near, cliques))
 
-    concretes.sort(key=lambda c: c.vertices.text())
+    if len(concretes) > 1:
+        concretes.sort(key=lambda c: c.vertices.text())
     classes.sort(key=lambda c: c.family)
     cs = ComponentSet(schema, X, tuple(concretes), tuple(classes))
     cache[X] = cs

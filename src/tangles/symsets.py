@@ -32,7 +32,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
-from .semilinear import SemilinearSet
+from .semilinear import SemilinearSet, _guard
 from .schema import FamilySpec, SchemaGraph, Vertex, vertex_sort_key, vertex_text
 
 _EMPTY = SemilinearSet.empty()
@@ -120,18 +120,31 @@ class SymVertexSet:
 
     @classmethod
     def of(cls, schema: SchemaGraph, vertices) -> "SymVertexSet":
-        core, flips, by_slot = set(), set(), {}
-        for v in schema.check_vertices(vertices):
+        return cls.assemble(schema, schema.check_vertices(vertices), ())
+
+    @classmethod
+    def assemble(cls, schema: SchemaGraph, vertices, patterns, holes=()) -> "SymVertexSet":
+        """The explicit ``vertices`` (not validated) united with the raw slot
+        patterns ``(key, (t, d, low, cycle))``, each ``d``-periodic from
+        ``t`` on, less the ray-family vertices of ``holes`` that are not
+        among ``vertices``: one index-set union per slot."""
+        core, masks, by_slot, inside = [], {}, {}, set()
+        for key, pattern in patterns:
+            by_slot.setdefault(key, []).append(pattern)
+        for v in vertices:
             if v[0] == "core":
-                core.add(v[1])
+                core.append(v[1])
                 continue
             key = _slot_key(schema, v)
             if _holds_rays(key):
-                flips.add(v)
+                inside.add(v)
             else:
-                by_slot.setdefault(key, []).append(v[2])
-        slots = {k: SemilinearSet.make(ix) for k, ix in by_slot.items()}
-        return cls._build(schema, core, slots, flips)
+                _guard(v[2] + 1)
+                masks[key] = masks.get(key, 0) | 1 << v[2]
+        for key, low in masks.items():
+            by_slot.setdefault(key, []).append((low.bit_length(), 1, low, 0))
+        slots = {k: SemilinearSet._union(ps) for k, ps in by_slot.items()}
+        return cls._build(schema, core, slots, _flips(slots, [*inside, *holes], inside))
 
     @classmethod
     def ray_tail(cls, schema: SchemaGraph, ray: str, from_pos: int) -> "SymVertexSet":

@@ -132,13 +132,13 @@ def principal_at_vertex(cs: ComponentSet, v: Vertex) -> UltrafilterHandle:
 
 
 def lazy_on(cs: ComponentSet, family: str | None = None) -> UltrafilterHandle:
-    """A fresh non-principal handle concentrated on an infinite component class."""
-    candidates = [c for c in cs.classes if c.indices.is_infinite]
-    if family is not None:
-        candidates = [c for c in candidates if c.family == family]
-    if not candidates:
+    """A fresh non-principal handle concentrated on an infinite component
+    class, by default that of the first such family in schema order."""
+    candidates = {c.family: c for c in cs.classes if c.indices.is_infinite}
+    names = [f.name for f in cs.schema.families] if family is None else [family]
+    cl = next((candidates[n] for n in names if n in candidates), None)
+    if cl is None:
         raise ValueError("no infinite component class at this level")
-    cl = candidates[0]
     return UltrafilterHandle(cs, core=LazyCore(cl.family, cl.indices))
 
 

@@ -234,3 +234,15 @@ def test_uf_tangle_on_a_family_without_one(capsys):
     assert main(["witness", "builtin:fan", "--tangle", "uf:T"]) == 2
     err = capsys.readouterr().err
     assert "family 'T' carries no ultrafilter tangle; families that carry one: none" in err
+
+
+def test_uf_default_family_follows_schema_order(capsys, tmp_path):
+    from tangles.infinite_tangles import uf_tangle
+    from tangles.schema import parse_schema
+
+    text = "core:\nv c\nrayfam S at c\nfamily L pattern { v p } attach c p\n"
+    p = tmp_path / "one_hub.schema"
+    p.write_text(text)
+    code, out = run(capsys, "uf", str(p), "--at", "core:c", "--query", "{}", "--json")
+    assert code == 0 and json.loads(out)["handle"]["family"] == "S"
+    assert uf_tangle(parse_schema(text)).id() == "uf:S"

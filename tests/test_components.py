@@ -1,5 +1,13 @@
-import pytest
+import sys
+from pathlib import Path
 
+import pytest
+from components_reference import reference_components
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_symsets import MIXED
+
+from tangles.builtin import builtin_names, load
 from tangles.components import ComponentSelection, components
 from tangles.graphs import path_graph
 from tangles.sampling import random_level
@@ -189,3 +197,72 @@ def test_attachments_and_dominators(schemas):
     spider = schemas["spider"]
     cs = components(spider, {("core", "c")})
     assert cs.dominators(("class", 0, 4)).is_empty
+
+
+def test_invalid_vertex_raises_on_an_uncached_level():
+    from tangles.schema import parse_schema
+
+    schema = parse_schema(ADVERSARIAL["braced_ladder"])
+    components(schema, {("core", "c")})
+    bad = frozenset({("core", "c"), ("ray", "Nope", 0)})
+    with pytest.raises(ValueError, match="not in schema"):
+        components(schema, bad)
+    assert bad not in schema._component_cache
+
+
+def test_parse_splits_on_commas_outside_braces(schemas):
+    cs = components(schemas["twostars"], {("core", "c"), ("core", "d")})
+    sel = ComponentSelection.parse(cs, "{ L{0,2+3t} ,M{1,4} , }")
+    assert sel == cs.selection(
+        class_parts={"L": SemilinearSet.make([0], [(2, 3)]), "M": SemilinearSet.of(1, 4)}
+    )
+    cs = components(schemas["spider"], {("core", "c"), ("fam", "L", 0, 1)})
+    assert ComponentSelection.parse(cs, "{c1,c0}") == cs.selection(concretes=[0, 1])
+    for text, message in [
+        ("L{0}", "bad selection text"),
+        ("{c2}", "no concrete component 'c2'"),
+        ("{Z{0},c0}", "no component class 'Z'"),
+        ("{c0,x}", "bad selection item 'x'"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            ComponentSelection.parse(cs, text)
+
+
+# every bundled schema, and one with every kind of part
+REFERENCE_SCHEMAS = {**{name: load(name) for name in builtin_names()}, "mixed": MIXED}
+
+
+@st.composite
+def levels(draw):
+    """A random core subset plus 0-4 vertices of the depth-8 truncation."""
+    schema = REFERENCE_SCHEMAS[draw(st.sampled_from(sorted(REFERENCE_SCHEMAS)))]
+    names = sorted(schema.core.vertices)
+    core = draw(st.frozensets(st.sampled_from(names)) if names else st.just(frozenset()))
+    extra = draw(st.lists(st.sampled_from(schema.vertices_below(8)), max_size=4))
+    return schema, frozenset({("core", c) for c in core}.union(extra))
+
+
+def _shape(cs):
+    return (
+        cs.removed,
+        [(c.vertices, c.vertices.text(), frozenset(c.near), c.cliques) for c in cs.concretes],
+        [(c.family, c.indices, c.attach) for c in cs.classes],
+    )
+
+
+@given(levels())
+@settings(max_examples=300, deadline=None)
+def test_components_match_the_reference_builder(level):
+    schema, X = level
+    assert _shape(components(schema, X)) == _shape(reference_components(schema, X))
+
+
+def test_perfbench_pinned_query_digest():
+    # the recorded answers name components c0, c1, ... by position, so any
+    # change of the concrete order shows here
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    assert workloads.pinned_digest() == workloads.PINNED_DIGEST

@@ -127,6 +127,16 @@ def test_of_and_some_vertex():
     assert sorted(s.to_explicit()) == sorted(vs)
 
 
+def test_of_trips_the_width_guard_before_building_a_mask():
+    from tangles.semilinear import WIDTH_CAP, ResourceGuardError
+
+    with pytest.raises(ResourceGuardError):
+        SymVertexSet.of(FAN, [("ray", "R", 10**12)])
+    # a ray-family copy index is a flip, not a mask bit
+    far = ("fam", "L", WIDTH_CAP, 0)
+    assert far in SymVertexSet.of(MIXED, [far])
+
+
 @given(symsets(), symsets())
 @settings(max_examples=80, deadline=None)
 def test_ops_match_pointwise_oracle(a, b):
