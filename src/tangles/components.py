@@ -11,11 +11,11 @@ explicit vertices near X, one tail node per ray (and per touched
 ray-family copy), one node per untouched copy class, and one remainder
 node per clique.  A copy class splits into per-index components exactly
 when its node is isolated after deleting X.  The non-explicit nodes carry
-raw slot patterns (``SymVertexSet`` slots as ``(t, d, low, cycle)``), and
-a ray-family tail its holes, so each component's vertex set is assembled
-once: one index-set union per slot over its nodes' patterns and its
-explicit vertices (``SymVertexSet.assemble``).  Concretes are ordered by
-their text.
+raw parts (``SymVertexSet.ray_tail_part`` and its siblings: slot patterns
+not yet canonical, and a ray-family tail's holes), so each component's
+vertex set is assembled once: one index-set union per slot over its
+nodes' patterns and its explicit vertices (``SymVertexSet.assemble``).
+Concretes are ordered by their text.
 
 This module is the one place that reads how parts attach.  Each class
 records ``attach``, the neighbourhood of every copy (its node's quotient
@@ -37,11 +37,13 @@ from dataclasses import dataclass, field
 
 from .semilinear import ResourceGuardError, SemilinearSet
 from .schema import SchemaGraph, Vertex
-from .symsets import SymVertexSet, _fam_keys, union_all
+from .symsets import SymVertexSet, union_all
 
 _NAT = SemilinearSet.naturals()
-# a comma outside braces: no closing brace follows before the next opening one
-_TOP_COMMA = re.compile(r",(?![^{}]*\})")
+# index types a cache hit trusts: an index equal to a valid one is valid
+# only if it is an int or str itself (1.0 == 1 is no position)
+_INDEX_TYPES = (int, str)
+_SELECTION_PUNCT = re.compile(r"[{},]")
 
 # Explicit quotient nodes allowed per level: core vertices, ray prefixes,
 # family copies times their pattern size, ray-family tails and legs.  A
@@ -264,7 +266,18 @@ class ComponentSelection:
         body = text[1:-1].strip()
         flags = [False] * len(cs.concretes)
         parts = {c.family: SemilinearSet.empty() for c in cs.classes}
-        for item in _TOP_COMMA.split(body):
+        # split on commas not inside braces, visiting only the punctuation
+        items, depth, start = [], 0, 0
+        for m in _SELECTION_PUNCT.finditer(body):
+            if m.group() == "{":
+                depth += 1
+            elif m.group() == "}":
+                depth -= 1
+            elif depth == 0:
+                items.append(body[start : m.start()])
+                start = m.end()
+        items.append(body[start:])
+        for item in items:
             item = item.strip()
             if not item:
                 continue
@@ -292,7 +305,8 @@ def components(schema: SchemaGraph, X) -> ComponentSet:
     """The components of the schema graph minus the finite explicit set X."""
     X = frozenset(X)
     cache = schema._component_cache
-    if X in cache:  # only valid levels are cached
+    # only valid levels are cached
+    if X in cache and all(type(i) in _INDEX_TYPES for v in X for i in v[2:]):
         return cache[X]
     schema.check_vertices(X)
 
@@ -338,15 +352,13 @@ def components(schema: SchemaGraph, X) -> ComponentSet:
         )
 
     adj: dict[object, set] = {}
-    # the slot patterns of each non-explicit node, ((key, (t, d, low, cycle)), ...)
-    patterns: dict[object, tuple] = {}
-    holes: dict[object, list[Vertex]] = {}  # a ray-family tail's explicit positions
+    parts: dict[object, tuple] = {}  # explicit ("v", v) nodes carry none
 
-    def add_node(n, pats=None):
+    def add_node(n, part=None):
         if n not in adj:
             adj[n] = set()
-            if pats is not None:
-                patterns[n] = pats
+            if part is not None:
+                parts[n] = part
 
     def add_edge(a, b):
         if a != b:
@@ -368,7 +380,7 @@ def components(schema: SchemaGraph, X) -> ComponentSet:
             if p > 0:
                 add_edge(vnode(("ray", r.name, p - 1)), vnode(("ray", r.name, p)))
         tail = ("rtail", r.name)
-        add_node(tail, ((("ray", r.name), (m + 1, 1, 0, 1)),))
+        add_node(tail, SymVertexSet.ray_tail_part(r.name, m + 1))
         if m >= 0:
             add_edge(vnode(("ray", r.name, m)), tail)
         if r.hub is not None:
@@ -378,7 +390,7 @@ def components(schema: SchemaGraph, X) -> ComponentSet:
     for f in schema.families:
         bound = t_fam[f.name] + 1
         cls_node = ("fclass", f.name)
-        add_node(cls_node, tuple((k, (bound, 1, 0, 1)) for k in _fam_keys(f)))
+        add_node(cls_node, SymVertexSet.copies_part(f, bound))
         for c, pv in f.core_attach:
             if f.is_ray_family and pv != 0:
                 continue
@@ -394,8 +406,7 @@ def components(schema: SchemaGraph, X) -> ComponentSet:
                     if p > 0:
                         add_edge(vnode(("fam", f.name, i, p - 1)), vnode(vv))
                 tail = ("ftail", f.name, i)
-                add_node(tail, ((("fam", f.name), (i + 1, 1, 1 << i, 0)),))
-                holes[tail] = [("fam", f.name, i, p) for p in range(m + 1)]
+                add_node(tail, SymVertexSet.copy_tail_part(f.name, i, m + 1))
                 if m >= 0:
                     add_edge(vnode(("fam", f.name, i, m)), tail)
                 for c, _ in f.core_attach:
@@ -413,10 +424,8 @@ def components(schema: SchemaGraph, X) -> ComponentSet:
                     add_edge(vnode(("ray", rn, i)), vnode(("fam", f.name, i, pv)))
 
     for c in schema.cliques:
-        gone = sum(1 << i for i in deleted_cliq[c.name])
-        t = gone.bit_length()
         node = ("crem", c.name)
-        add_node(node, ((("cliq", c.name), (t, 1, ~gone & ((1 << t) - 1), 1)),))
+        add_node(node, SymVertexSet.clique_rest_part(c.name, deleted_cliq[c.name]))
         for cv in c.attach:
             add_edge(vnode(("core", cv)), node)
 
@@ -446,15 +455,10 @@ def components(schema: SchemaGraph, X) -> ComponentSet:
             classes.append(FamilyClass(fname, indices, frozenset(y[1] for y in adj[comp[0]])))
         else:
             explicit = [n[1] for n in comp if n[0] == "v"]
-            parts = [n for n in comp if n[0] != "v"]
-            vs = SymVertexSet.assemble(
-                schema,
-                explicit,
-                [p for n in parts for p in patterns[n]],
-                [h for n in parts for h in holes.get(n, ())],
-            )
+            nodes = [n for n in comp if n[0] != "v"]
+            vs = SymVertexSet.assemble(schema, explicit, [parts[n] for n in nodes])
             if not vs.is_empty:
-                hubs = [n for n in parts if n[0] in ("fclass", "crem")]
+                hubs = [n for n in nodes if n[0] in ("fclass", "crem")]
                 near = tuple({y[1] for n in hubs for y in adj[n] if y[0] == "v"})
                 cliques = tuple(n[1] for n in hubs if n[0] == "crem")
                 concretes.append(Concrete(vs, near, cliques))

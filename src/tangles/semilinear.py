@@ -77,6 +77,33 @@ def _ones(m: int) -> list[int]:
     return out
 
 
+# A pattern ``(t, d, low, cycle)`` is the raw form of a set: its members
+# below ``t`` are the bits of ``low`` and from ``t`` on it is ``d``-periodic
+# with the ``d``-bit window ``cycle``, but neither ``t`` nor ``d`` need be
+# least.  ``SemilinearSet.union_patterns`` unites any number of patterns
+# into a canonical set, so a set built from many pieces is minimised once.
+
+
+def points_pattern(xs) -> tuple[int, int, int, int]:
+    """The finite set of the naturals ``xs``, guarded like :meth:`SemilinearSet.make`."""
+    _guard(max(xs, default=-1) + 1)
+    low = 0
+    for x in xs:
+        low |= 1 << x
+    return low.bit_length(), 1, low, 0
+
+
+def from_pattern(a: int) -> tuple[int, int, int, int]:
+    """All naturals >= a."""
+    return a, 1, 0, 1
+
+
+def all_but_pattern(xs) -> tuple[int, int, int, int]:
+    """All naturals outside the finite set ``xs``."""
+    t, _, low, _ = points_pattern(xs)
+    return t, 1, ~low & ((1 << t) - 1), 1
+
+
 @dataclass(frozen=True)
 class SemilinearSet:
     """Canonical eventually periodic set of naturals.
@@ -100,16 +127,12 @@ class SemilinearSet:
             raise ValueError("negative element")
         if any(a < 0 or d < 1 for a, d in progs):
             raise ValueError("bad progression")
-        _guard(max(explicit, default=-1) + 1)
-        low = 0
-        for x in explicit:
-            low |= 1 << x
-        return cls._union([(low.bit_length(), 1, low, 0), *((a, d, 0, 1) for a, d in progs)])
+        return cls.union_patterns([points_pattern(explicit), *((a, d, 0, 1) for a, d in progs)])
 
     @classmethod
-    def _union(cls, parts) -> "SemilinearSet":
-        """The union of ``(t, d, low, cycle)`` patterns, each ``d``-periodic
-        from ``t`` on, aligned and minimised once."""
+    def union_patterns(cls, parts) -> "SemilinearSet":
+        """The union of ``(t, d, low, cycle)`` patterns, aligned and
+        minimised once."""
         t = max((p[0] for p in parts), default=0)
         d = lcm(*(p[1] for p in parts))
         low = cycle = 0
@@ -237,7 +260,7 @@ class SemilinearSet:
     @classmethod
     def union_all(cls, sets) -> "SemilinearSet":
         """The union of any number of sets, aligned and minimised once."""
-        return cls._union([(s.t, s.d, s.low, s.cycle) for s in sets])
+        return cls.union_patterns([(s.t, s.d, s.low, s.cycle) for s in sets])
 
     def intersection(self, other: "SemilinearSet") -> "SemilinearSet":
         t, d, (l1, c1), (l2, c2) = self._align(other)

@@ -32,7 +32,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
-from .semilinear import SemilinearSet, _guard
+from .semilinear import SemilinearSet, all_but_pattern, from_pattern, points_pattern
 from .schema import FamilySpec, SchemaGraph, Vertex, vertex_sort_key, vertex_text
 
 _EMPTY = SemilinearSet.empty()
@@ -120,17 +120,18 @@ class SymVertexSet:
 
     @classmethod
     def of(cls, schema: SchemaGraph, vertices) -> "SymVertexSet":
-        return cls.assemble(schema, schema.check_vertices(vertices), ())
+        return cls.assemble(schema, schema.check_vertices(vertices))
 
     @classmethod
-    def assemble(cls, schema: SchemaGraph, vertices, patterns, holes=()) -> "SymVertexSet":
-        """The explicit ``vertices`` (not validated) united with the raw slot
-        patterns ``(key, (t, d, low, cycle))``, each ``d``-periodic from
-        ``t`` on, less the ray-family vertices of ``holes`` that are not
-        among ``vertices``: one index-set union per slot."""
-        core, masks, by_slot, inside = [], {}, {}, set()
-        for key, pattern in patterns:
-            by_slot.setdefault(key, []).append(pattern)
+    def assemble(cls, schema: SchemaGraph, vertices, parts=()) -> "SymVertexSet":
+        """The explicit ``vertices`` (not validated) united with the
+        ``parts`` built below: one index-set union per slot, over the parts'
+        patterns and the slot's explicit indices."""
+        core, by_slot, points, inside, holes = [], {}, {}, set(), []
+        for pairs, part_holes in parts:
+            for key, pattern in pairs:
+                by_slot.setdefault(key, []).append(pattern)
+            holes += part_holes
         for v in vertices:
             if v[0] == "core":
                 core.append(v[1])
@@ -139,12 +140,37 @@ class SymVertexSet:
             if _holds_rays(key):
                 inside.add(v)
             else:
-                _guard(v[2] + 1)
-                masks[key] = masks.get(key, 0) | 1 << v[2]
-        for key, low in masks.items():
-            by_slot.setdefault(key, []).append((low.bit_length(), 1, low, 0))
-        slots = {k: SemilinearSet._union(ps) for k, ps in by_slot.items()}
+                points.setdefault(key, []).append(v[2])
+        for key, xs in points.items():
+            by_slot.setdefault(key, []).append(points_pattern(xs))
+        slots = {k: SemilinearSet.union_patterns(ps) for k, ps in by_slot.items()}
         return cls._build(schema, core, slots, _flips(slots, [*inside, *holes], inside))
+
+    # A part for ``assemble`` is a pair: its slot patterns, as ``(key,
+    # pattern)`` with a ``semilinear`` pattern, and the ray-family vertices
+    # it leaves out of its copies.  Building one canonicalises nothing.
+
+    @staticmethod
+    def ray_tail_part(ray: str, from_pos: int) -> tuple:
+        """The positions of a ray from ``from_pos`` on."""
+        return (((("ray", ray), from_pattern(from_pos)),), ())
+
+    @staticmethod
+    def copies_part(family: FamilySpec, from_copy: int) -> tuple:
+        """The whole copies of a family from ``from_copy`` on."""
+        pattern = from_pattern(from_copy)
+        return tuple((key, pattern) for key in _fam_keys(family)), ()
+
+    @staticmethod
+    def copy_tail_part(fam: str, copy: int, from_pos: int) -> tuple:
+        """A ray-family copy minus its first ``from_pos`` positions."""
+        holes = tuple(("fam", fam, copy, p) for p in range(from_pos))
+        return (((("fam", fam), points_pattern((copy,))),), holes)
+
+    @staticmethod
+    def clique_rest_part(clique: str, gone) -> tuple:
+        """The vertices of a clique outside the indices ``gone``."""
+        return (((("cliq", clique), all_but_pattern(gone)),), ())
 
     @classmethod
     def ray_tail(cls, schema: SchemaGraph, ray: str, from_pos: int) -> "SymVertexSet":

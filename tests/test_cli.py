@@ -194,6 +194,7 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     [
         ["orient", "builtin:ray", "--tangle", "end:R", "--sep", "sep X={ray:R:99999999} B={c1}"],
         ["uf", "builtin:spider", "--at", "fam:L:262144:0"],
+        ["uf", "builtin:cliq", "--at", "cliq:K:1000000000000"],
     ],
 )
 def test_deep_level_trips_the_guard(capsys, argv):

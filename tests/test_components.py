@@ -1,4 +1,5 @@
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -208,6 +209,10 @@ def test_invalid_vertex_raises_on_an_uncached_level():
     with pytest.raises(ValueError, match="not in schema"):
         components(schema, bad)
     assert bad not in schema._component_cache
+    # a position equal to a cached valid one, but not an int
+    components(schema, {("ray", "R", 1)})
+    with pytest.raises(ValueError, match="not in schema"):
+        components(schema, {("ray", "R", 1.0)})
 
 
 def test_parse_splits_on_commas_outside_braces(schemas):
@@ -218,6 +223,12 @@ def test_parse_splits_on_commas_outside_braces(schemas):
     )
     cs = components(schemas["spider"], {("core", "c"), ("fam", "L", 0, 1)})
     assert ComponentSelection.parse(cs, "{c1,c0}") == cs.selection(concretes=[0, 1])
+    # linear in the text: a scan to the next brace at every comma took
+    # seconds on this one
+    start = time.perf_counter()
+    long_text = "{" + ",".join(["c0", "c1"] * 10_000) + "}"
+    assert ComponentSelection.parse(cs, long_text) == cs.selection(concretes=[0, 1])
+    assert time.perf_counter() - start < 1
     for text, message in [
         ("L{0}", "bad selection text"),
         ("{c2}", "no concrete component 'c2'"),
