@@ -15,7 +15,8 @@ raw parts (``SymVertexSet.ray_tail_part`` and its siblings: slot patterns
 not yet canonical, and a ray-family tail's holes), so each component's
 vertex set is assembled once: one index-set union per slot over its
 nodes' patterns and its explicit vertices (``SymVertexSet.assemble``).
-Concretes are ordered by their text.
+Concretes are ordered by their text, compared on first bits where
+those decide it (``_text_order``).
 
 This module is the one place that reads how parts attach.  Each class
 records ``attach``, the neighbourhood of every copy (its node's quotient
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import operator
 import re
+from itertools import chain, zip_longest
 from dataclasses import dataclass, field
 
 from .semilinear import ResourceGuardError, SemilinearSet
@@ -249,14 +251,34 @@ class ComponentSelection:
             return self.concrete_flags[loc[1]]
         return loc[2] in self.class_parts[loc[1]]
 
+    def _text_chunks(self):
+        """The text form in pieces, index sets item by item."""
+        yield "{"
+        sep = ""
+        for k, f in enumerate(self.concrete_flags):
+            if f:
+                yield f"{sep}c{k}"
+                sep = ","
+        for c, p in zip(self.cs.classes, self.class_parts):
+            if not p.is_empty:
+                yield f"{sep}{c.family}{{"
+                sep = ","
+                for j, item in enumerate(p.items()):
+                    yield "," + item if j else item
+                yield "}"
+        yield "}"
+
     def text(self) -> str:
-        items = [f"c{k}" for k, f in enumerate(self.concrete_flags) if f]
-        items += [
-            f"{c.family}{p.text()}"
-            for c, p in zip(self.cs.classes, self.class_parts)
-            if not p.is_empty
-        ]
-        return "{" + ",".join(items) + "}"
+        return "".join(self._text_chunks())
+
+    def text_le(self, other: "ComponentSelection") -> bool:
+        """``self.text() <= other.text()``, reading both texts only up to
+        their first difference."""
+        mine, theirs = (chain.from_iterable(s._text_chunks()) for s in (self, other))
+        for x, y in zip_longest(mine, theirs):
+            if x != y:
+                return x is None or (y is not None and x < y)
+        return True
 
     @classmethod
     def parse(cls, cs: ComponentSet, text: str) -> "ComponentSelection":
@@ -464,11 +486,27 @@ def components(schema: SchemaGraph, X) -> ComponentSet:
                 concretes.append(Concrete(vs, near, cliques))
 
     if len(concretes) > 1:
-        concretes.sort(key=lambda c: c.vertices.text())
+        concretes = _text_order(concretes)
     classes.sort(key=lambda c: c.family)
     cs = ComponentSet(schema, X, tuple(concretes), tuple(classes))
     cache[X] = cs
     return cs
+
+
+def _text_order(concretes: list[Concrete]) -> list[Concrete]:
+    """The concretes sorted by the text of their vertex sets.
+
+    Texts whose first bits differ, neither a prefix of the other, compare as
+    those bits do, so whole texts are built only when two first bits are
+    equal or one is a prefix of another; after sorting on first bits, that
+    shows in a pair of neighbours.
+    """
+    keyed = sorted(
+        ((c.vertices.first_text_bit(), c) for c in concretes), key=operator.itemgetter(0)
+    )
+    if any(b.startswith(a) for (a, _), (b, _) in zip(keyed, keyed[1:])):
+        return sorted(concretes, key=lambda c: c.vertices.text())
+    return [c for _, c in keyed]
 
 
 def core_components(schema: SchemaGraph) -> ComponentSet:

@@ -3,10 +3,12 @@
 A tangle orients every representable finite-order separation.  End
 tangles answer through the component their end lives in; ultrafilter
 tangles answer through a single non-principal ultrafilter fixed at their
-least witness level and transported to other levels by lifting and
-restriction.  This module also provides the end catalogue of a schema,
-the classification and witness machinery, conversions between tangles
-and compatible ultrafilter families, a census, and sampled axiom checks.
+least witness level.  The ultrafilter it induces at another level is read
+at that level alone, which is what lifting and then restricting gives
+(the inverse-system checks still do both).  This module also provides
+the end catalogue of a schema, the classification and witness machinery,
+conversions between tangles and compatible ultrafilter families, a
+census, and sampled axiom checks.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from .ultrafilters import (
     LimitFamily,
     PrincipalInputError,
     UltrafilterHandle,
+    induced_by_core,
     lazy_on,
-    lift_ultrafilter,
     limit_from_nonprincipal,
     principal_at,
     restrict_ultrafilter,
@@ -193,8 +195,7 @@ def induced_ultrafilter(tangle: Tangle, X) -> UltrafilterHandle:
     cs = components(schema, X)
     if tangle.kind == "end":
         return principal_at(cs, end_component(schema, tangle.end, cs))
-    lifted = lift_ultrafilter(tangle.handle, tangle.witness | X)
-    return restrict_ultrafilter(lifted, X)
+    return induced_by_core(cs, tangle.handle.core)
 
 
 def orient(tangle: Tangle, sep: OrientedSeparation) -> OrientedSeparation:
@@ -217,11 +218,13 @@ def witness_candidates(schema: SchemaGraph) -> list[frozenset]:
 
 
 def classify(tangle: Tangle) -> str:
-    """"end" if every induced ultrafilter is principal, else "ultrafilter"."""
-    for X in witness_candidates(tangle.schema):
-        if not induced_ultrafilter(tangle, X).is_principal:
-            return "ultrafilter"
-    return "end"
+    """"end" if every induced ultrafilter is principal, else "ultrafilter".
+
+    Every critical vertex set lies in the core, so a non-principal induced
+    ultrafilter, if any, shows at the core level.
+    """
+    core_level = core_components(tangle.schema).removed
+    return "end" if induced_ultrafilter(tangle, core_level).is_principal else "ultrafilter"
 
 
 def minimal_witness(tangle: Tangle) -> frozenset[Vertex]:

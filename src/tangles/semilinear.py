@@ -19,7 +19,9 @@ with ``|``, ``&`` and ``& ~``, and minimise once.  Membership, counting and
 the smallest elements are bit reads and bit scans.
 
 The text form lists the members below ``t`` and one progression
-``a+dt`` per set bit of the cycle; :attr:`explicit` and
+``a+dt`` per set bit of the cycle.  :meth:`items` yields them one at a
+time, read off the bits, so a text can be compared item by item without
+being built (a wide period has hundreds of thousands); :attr:`explicit` and
 :attr:`progressions` are the same data as Python collections, built on
 first use.
 
@@ -66,15 +68,18 @@ def _repeat(cycle: int, d: int, n: int) -> int:
     return cycle & ((1 << n) - 1)
 
 
-def _ones(m: int) -> list[int]:
-    """The positions of the set bits of ``m``, ascending."""
+def _scan_ones(m: int):
+    """The positions of the set bits of ``m``, ascending, one at a time."""
     s = bin(m)[:1:-1]
-    out = []
     i = s.find("1")
     while i >= 0:
-        out.append(i)
+        yield i
         i = s.find("1", i + 1)
-    return out
+
+
+def _ones(m: int) -> list[int]:
+    """The positions of the set bits of ``m``, ascending."""
+    return list(_scan_ones(m))
 
 
 # A pattern ``(t, d, low, cycle)`` is the raw form of a set: its members
@@ -294,10 +299,16 @@ class SemilinearSet:
 
     # -- text form ---------------------------------------------------------
 
+    def items(self):
+        """The items of the text form, one at a time: the members below the
+        threshold, then one progression per set bit of the cycle."""
+        yield from map(str, _scan_ones(self.low))
+        t, d = self.t, self.d
+        for i in _scan_ones(self.cycle):
+            yield f"{t + i}+{d}t"
+
     def text(self) -> str:
-        items = [str(x) for x in _ones(self.low)]
-        items += [f"{self.t + i}+{self.d}t" for i in _ones(self.cycle)]
-        return "{" + ",".join(items) + "}"
+        return "{" + ",".join(self.items()) + "}"
 
     @classmethod
     def parse(cls, s: str) -> "SemilinearSet":

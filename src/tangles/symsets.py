@@ -173,24 +173,8 @@ class SymVertexSet:
         return (((("cliq", clique), all_but_pattern(gone)),), ())
 
     @classmethod
-    def ray_tail(cls, schema: SchemaGraph, ray: str, from_pos: int) -> "SymVertexSet":
-        return cls.make(schema, ray_pos={ray: SemilinearSet.from_(from_pos)})
-
-    @classmethod
     def whole_copies(cls, schema: SchemaGraph, fam: str, indices: SemilinearSet) -> "SymVertexSet":
         return cls.make(schema, fam_whole={fam: indices})
-
-    @classmethod
-    def copy_tail(cls, schema: SchemaGraph, fam: str, copy: int, from_pos: int) -> "SymVertexSet":
-        """A ray-family copy minus its first ``from_pos`` positions."""
-        f = schema.family_spec(fam)
-        if not f.is_ray_family:
-            raise ValueError(f"{fam} is not a ray family")
-        return cls.make(
-            schema,
-            fam_whole={fam: SemilinearSet.of(copy)},
-            fam_minus={("fam", fam, copy, p) for p in range(from_pos)},
-        )
 
     @classmethod
     def clique_part(cls, schema: SchemaGraph, clique: str, indices: SemilinearSet) -> "SymVertexSet":
@@ -208,8 +192,9 @@ class SymVertexSet:
         ones left out."""
         out = {}
         for n in sorted({k[1] for k, _ in self.slots if k[0] == "fam"}):
-            keys = _fam_keys(self.schema.family_spec(n))
-            w = reduce(operator.and_, (self._slot.get(k, _EMPTY) for k in keys))
+            sets = [self._slot.get(k, _EMPTY) for k in _fam_keys(self.schema.family_spec(n))]
+            # whole copies, as a component's vertex set mostly holds, need no intersection
+            w = sets[0] if sets.count(sets[0]) == len(sets) else reduce(operator.and_, sets)
             if not w.is_empty:
                 out[n] = w
         return out
@@ -352,17 +337,30 @@ class SymVertexSet:
                 return ("cliq", key[1], s.min_value())
         raise ValueError("empty set")
 
-    def text(self) -> str:
-        bits = []
+    def _text_bits(self):
+        """The space-separated bits of the text form, in order, built one at
+        a time."""
         if self.core:
-            bits.append("core{" + ",".join(sorted(self.core)) + "}")
-        bits += [f"ray:{k[1]}{s.text()}" for k, s in self.slots if k[0] == "ray"]
-        bits += [f"fam:{n}{w.text()}" for n, w in self._wholes.items()]
-        bits += [f"cliq:{k[1]}{s.text()}" for k, s in self.slots if k[0] == "cliq"]
+            yield "core{" + ",".join(sorted(self.core)) + "}"
+        for k, s in self.slots:
+            if k[0] == "ray":
+                yield f"ray:{k[1]}{s.text()}"
+        for n, w in self._wholes.items():
+            yield f"fam:{n}{w.text()}"
+        for k, s in self.slots:
+            if k[0] == "cliq":
+                yield f"cliq:{k[1]}{s.text()}"
         for sign, vs in zip("+-", self._exceptions):
             if vs:
-                bits.append(sign + "{" + ",".join(sorted(map(vertex_text, vs))) + "}")
-        return " ".join(bits) if bits else "{}"
+                yield sign + "{" + ",".join(sorted(map(vertex_text, vs))) + "}"
+
+    def text(self) -> str:
+        return " ".join(self._text_bits()) or "{}"
+
+    def first_text_bit(self) -> str:
+        """The first of the text's bits: texts whose first bits differ,
+        neither a prefix of the other, sort as those bits do."""
+        return next(self._text_bits(), "{}")
 
     def __repr__(self) -> str:
         return f"SymVertexSet({self.text()})"

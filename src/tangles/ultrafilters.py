@@ -4,10 +4,17 @@ A handle is either principal (generated by one component) or lazy: a
 non-principal ultrafilter concentrated on an infinite family class,
 realised one decision at a time.  A lazy handle keeps a commitment log;
 a query whose answer is not yet forced by earlier commitments commits
-the part whose canonical text sorts first.  Handles at different levels
-that arise from each other by restriction or lifting share one
+the part whose canonical text sorts first, comparing the two texts only
+up to their first difference.  Handles at different levels share one
 commitment state, so the whole compatible family behaves as a single
 object.
+
+The handle a lazy ultrafilter induces at a level X is read at X alone
+(``induced_by_core``): it shares the core where the family's class
+survives, and is principal at the component holding cofinitely many
+copies where it does not.  That is the restriction of its lift to any
+finer level, so induced ultrafilters and limit families never build the
+finer level; ``lift_ultrafilter`` stays for the inverse-system checks.
 """
 
 from __future__ import annotations
@@ -107,7 +114,7 @@ class UltrafilterHandle:
         k = self.cs.class_index(self.core.family)
         trace = sel.class_parts[k]
         # commit the part whose canonical text sorts first
-        return self.core.decide(trace, lambda: sel.text() <= sel.complement().text())
+        return self.core.decide(trace, lambda: sel.text_le(sel.complement()))
 
     def describe(self) -> dict:
         if self.is_principal:
@@ -142,10 +149,19 @@ def lazy_on(cs: ComponentSet, family: str | None = None) -> UltrafilterHandle:
     return UltrafilterHandle(cs, core=LazyCore(cl.family, cl.indices))
 
 
-def lazy_sharing(cs: ComponentSet, core: LazyCore) -> UltrafilterHandle:
-    if cs.class_for(core.family) is None:
-        raise ValueError(f"no {core.family} class at this level")
-    return UltrafilterHandle(cs, core=core)
+def induced_by_core(cs: ComponentSet, core: LazyCore) -> UltrafilterHandle:
+    """The handle a lazy ultrafilter induces at the level of ``cs``.
+
+    Where the family's class survives, the handle shares the core.  Else
+    all but finitely many copies of the family sit in one component, and
+    the handle is principal there.  Both depend on this level alone.
+    """
+    if cs.class_for(core.family) is not None:
+        return UltrafilterHandle(cs, core=core)
+    loc = cs.locate(lambda vs: vs.full_copy_indices(core.family).is_infinite)
+    if loc is None:
+        raise AssertionError("concentration class vanished")
+    return principal_at(cs, loc)
 
 
 # -- the inverse system -----------------------------------------------------
@@ -162,26 +178,20 @@ def restrict_ultrafilter(U: UltrafilterHandle, X) -> UltrafilterHandle:
         gen_set = U.generator_vertices()
         loc = cs.locate_vertex(gen_set.some_vertex())
         return principal_at(cs, loc)
-    cl = cs.class_for(U.core.family)
-    if cl is not None:
-        return lazy_sharing(cs, U.core)
-    # all but finitely many copies of the family now sit in one component
-    loc = cs.locate(lambda vs: vs.full_copy_indices(U.core.family).is_infinite)
-    if loc is None:
-        raise AssertionError("concentration class vanished")
-    return principal_at(cs, loc)
+    return induced_by_core(cs, U.core)
 
 
 def lift_ultrafilter(U: UltrafilterHandle, Xp) -> UltrafilterHandle:
-    """The unique handle at a finer level X' restricting back to U (non-principal only)."""
+    """The unique handle at a finer level X' restricting back to U
+    (non-principal only).  The class survives at X', whose deletions
+    include its neighbourhood, so the handle shares U's core."""
     schema = U.schema
     Xp = schema.check_vertices(Xp)
     if not U.level <= Xp:
         raise ValueError("can only lift to a superset of the current level")
     if U.is_principal:
         raise PrincipalInputError("lifting needs a non-principal ultrafilter")
-    cs = components(schema, Xp)
-    return lazy_sharing(cs, U.core)
+    return induced_by_core(components(schema, Xp), U.core)
 
 
 def preimage_selection(sel: ComponentSelection, fine: ComponentSet) -> ComponentSelection:
@@ -207,12 +217,9 @@ class LimitFamily:
 
 
 def limit_from_nonprincipal(U: UltrafilterHandle) -> LimitFamily:
-    """Extend a non-principal handle to every level by lift-then-restrict."""
+    """Extend a non-principal handle to every level: at each level, the
+    handle its core induces there (the restriction of its lift)."""
     if U.is_principal:
         raise PrincipalInputError("seed must be non-principal")
-    X = U.level
-
-    def ev(Y: frozenset) -> UltrafilterHandle:
-        return restrict_ultrafilter(lift_ultrafilter(U, X | Y), Y)
-
-    return LimitFamily(U.schema, X, ev)
+    schema, core = U.schema, U.core
+    return LimitFamily(schema, U.level, lambda Y: induced_by_core(components(schema, Y), core))

@@ -11,6 +11,22 @@ from tangles.symsets import SymVertexSet, union_all
 _NAT = SemilinearSet.naturals()
 
 
+def ray_tail(schema: SchemaGraph, ray: str, from_pos: int) -> SymVertexSet:
+    """The positions of a ray from ``from_pos`` on."""
+    return SymVertexSet.make(schema, ray_pos={ray: SemilinearSet.from_(from_pos)})
+
+
+def copy_tail(schema: SchemaGraph, fam: str, copy: int, from_pos: int) -> SymVertexSet:
+    """A ray-family copy minus its first ``from_pos`` positions."""
+    if not schema.family_spec(fam).is_ray_family:
+        raise ValueError(f"{fam} is not a ray family")
+    return SymVertexSet.make(
+        schema,
+        fam_whole={fam: SemilinearSet.of(copy)},
+        fam_minus={("fam", fam, copy, p) for p in range(from_pos)},
+    )
+
+
 def reference_components(schema: SchemaGraph, X) -> ComponentSet:
     X = schema.check_vertices(X)
     m_ray = {r.name: -1 for r in schema.rays}
@@ -81,7 +97,7 @@ def reference_components(schema: SchemaGraph, X) -> ComponentSet:
             if p > 0:
                 add_edge(vnode(("ray", r.name, p - 1)), vnode(("ray", r.name, p)))
         tail = ("rtail", r.name)
-        add_node(tail, SymVertexSet.ray_tail(schema, r.name, m + 1))
+        add_node(tail, ray_tail(schema, r.name, m + 1))
         if m >= 0:
             add_edge(vnode(("ray", r.name, m)), tail)
         if r.hub is not None:
@@ -109,7 +125,7 @@ def reference_components(schema: SchemaGraph, X) -> ComponentSet:
                     if p > 0:
                         add_edge(vnode(("fam", f.name, i, p - 1)), vnode(vv))
                 tail = ("ftail", f.name, i)
-                add_node(tail, SymVertexSet.copy_tail(schema, f.name, i, m + 1))
+                add_node(tail, copy_tail(schema, f.name, i, m + 1))
                 if m >= 0:
                     add_edge(vnode(("fam", f.name, i, m)), tail)
                 for c, _ in f.core_attach:

@@ -1,3 +1,5 @@
+from components_reference import ray_tail
+
 from tangles.abstract import (
     AbstractSystem,
     finite_far_side,
@@ -63,7 +65,7 @@ def test_supremum_of_nested_tail_stars(schemas):
     t = end_tangle(ray, end_catalogue(ray).singles[0])
     X = frozenset({("ray", "R", 4)})
     cs = components(ray, X)
-    tail = cs.partition_by(SymVertexSet.ray_tail(ray, "R", 5))
+    tail = cs.partition_by(ray_tail(ray, "R", 5))
     s = from_bipartition(ray, X, tail)
     small = from_bipartition(ray, X, cs.select_all())
     star = [s, small]
@@ -76,7 +78,7 @@ def test_padding_probe_flags_small_inverse(schemas):
     ray = schemas["ray"]
     X = frozenset({("ray", "R", 3)})
     cs = components(ray, X)
-    tail = cs.partition_by(SymVertexSet.ray_tail(ray, "R", 4))
+    tail = cs.partition_by(ray_tail(ray, "R", 4))
     s = from_bipartition(ray, X, tail)  # ({0..3},{3,4,...})
     probe = padding_probe(s)
     assert probe["small_inverse"] and probe["finite_far"]

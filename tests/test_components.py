@@ -10,9 +10,9 @@ from test_symsets import MIXED
 
 from tangles.builtin import builtin_names, load
 from tangles.components import ComponentSelection, components
-from tangles.graphs import path_graph
-from tangles.sampling import random_level
-from tangles.schema import SchemaGraph, vertex_text
+from tangles.graphs import FiniteGraph, path_graph
+from tangles.sampling import random_level, random_selection
+from tangles.schema import RaySpec, SchemaGraph, parse_schema, vertex_text
 from tangles.semilinear import SemilinearSet
 from tangles.suite import symbolic_components_below, truncation_components
 from tangles.symsets import SymVertexSet
@@ -108,6 +108,21 @@ def test_selection_algebra_and_text(schemas):
     assert finite.count_is_finite and finite.count() == 2
     assert ComponentSelection.parse(cs, evens.text()) == evens
     assert evens.text() == "{L{0+2t}}"
+
+
+def test_text_le_compares_texts_as_streams(schemas, rng):
+    for name in ("star", "spider", "twostars", "twohub", "cliq"):
+        schema = schemas[name]
+        for _ in range(40):
+            cs = components(schema, random_level(schema, rng, 3, 6))
+            a, b = random_selection(cs, rng), random_selection(cs, rng)
+            for x, y in [(a, b), (b, a), (a, a), (a, a.complement()), (a, a | b)]:
+                assert x.text_le(y) == (x.text() <= y.text())
+    # "{L{1,2}}" sorts before "{L{1}}": "," comes before "}"
+    cs = components(schemas["star"], {("core", "c")})
+    short = cs.selection(class_parts={"L": SemilinearSet.of(1)})
+    long = cs.selection(class_parts={"L": SemilinearSet.of(1, 2)})
+    assert long.text_le(short) and not short.text_le(long)
 
 
 def test_parse_unions_repeated_class_items(schemas):
@@ -237,6 +252,19 @@ def test_parse_splits_on_commas_outside_braces(schemas):
     ]:
         with pytest.raises(ValueError, match=message):
             ComponentSelection.parse(cs, text)
+
+
+def test_concretes_sort_by_full_text_when_a_first_bit_is_a_prefix():
+    # "core{a}" is a prefix of "core{a}}": first bits alone cannot order them
+    schema = parse_schema("core:\nv h\nv a\nv a}\nedge:\ne h a\ne h a}\nray R at a\n")
+    texts = [c.vertices.text() for c in components(schema, {("core", "h")}).concretes]
+    assert texts == sorted(texts) == ["core{a} ray:R{0+1t}", "core{a}}"]
+    # a name running on below the space sorts before the text its prefix starts
+    odd = "a}\x1f"
+    core = FiniteGraph(frozenset({"h", "a", odd}), frozenset({("h", "a"), ("h", odd)}))
+    schema = SchemaGraph(core, rays=(RaySpec("R", "a"),))
+    texts = [c.vertices.text() for c in components(schema, {("core", "h")}).concretes]
+    assert texts == sorted(texts) == ["core{a}\x1f}", "core{a} ray:R{0+1t}"]
 
 
 # every bundled schema, and one with every kind of part

