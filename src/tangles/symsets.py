@@ -192,9 +192,8 @@ class SymVertexSet:
         ones left out."""
         out = {}
         for n in sorted({k[1] for k, _ in self.slots if k[0] == "fam"}):
-            sets = [self._slot.get(k, _EMPTY) for k in _fam_keys(self.schema.family_spec(n))]
-            # whole copies, as a component's vertex set mostly holds, need no intersection
-            w = sets[0] if sets.count(sets[0]) == len(sets) else reduce(operator.and_, sets)
+            keys = _fam_keys(self.schema.family_spec(n))
+            w = reduce(operator.and_, (self._slot.get(k, _EMPTY) for k in keys))
             if not w.is_empty:
                 out[n] = w
         return out

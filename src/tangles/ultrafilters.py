@@ -183,15 +183,18 @@ def restrict_ultrafilter(U: UltrafilterHandle, X) -> UltrafilterHandle:
 
 def lift_ultrafilter(U: UltrafilterHandle, Xp) -> UltrafilterHandle:
     """The unique handle at a finer level X' restricting back to U
-    (non-principal only).  The class survives at X', whose deletions
-    include its neighbourhood, so the handle shares U's core."""
+    (non-principal only): it shares U's core, so the family's class must
+    survive at X'."""
     schema = U.schema
     Xp = schema.check_vertices(Xp)
     if not U.level <= Xp:
         raise ValueError("can only lift to a superset of the current level")
     if U.is_principal:
         raise PrincipalInputError("lifting needs a non-principal ultrafilter")
-    return induced_by_core(components(schema, Xp), U.core)
+    cs = components(schema, Xp)
+    if cs.class_for(U.core.family) is None:
+        raise ValueError(f"no {U.core.family} class at this level")
+    return UltrafilterHandle(cs, core=U.core)
 
 
 def preimage_selection(sel: ComponentSelection, fine: ComponentSet) -> ComponentSelection:

@@ -33,9 +33,10 @@ from tangles.schema import parse_schema
 from tangles.semilinear import SemilinearSet
 from tangles.separations import from_bipartition, is_star
 from tangles.suite import handles_equivalent
+from tangles.symsets import SymVertexSet
 from tangles.ultrafilters import (
     PrincipalInputError,
-    lift_ultrafilter,
+    UltrafilterHandle,
     limit_from_nonprincipal,
     principal_at,
     restrict_ultrafilter,
@@ -119,11 +120,33 @@ def test_induced_commutes_with_restriction(schemas, rng):
                 )
 
 
-def test_induced_ultrafilter_matches_lift_then_restrict(rng):
-    # the reference: lift the witness handle to W | X, then restrict to X
-    def reference(t, X):
-        return restrict_ultrafilter(lift_ultrafilter(t.handle, t.witness | X), X)
+def _lift_then_restrict(U, X):
+    """The reference transport, written out apart from the code under test:
+    lift the lazy handle U to U.level | X, where its class must survive and
+    the lift shares its core, then restrict the lift to X."""
+    schema, core = U.schema, U.core
+    if components(schema, U.level | X).class_for(core.family) is None:
+        raise ValueError(f"no {core.family} class at the lifted level")
+    cs = components(schema, X)
+    if cs.class_for(core.family) is not None:
+        return UltrafilterHandle(cs, core=core)
+    loc = cs.locate(lambda vs: vs.full_copy_indices(core.family).is_infinite)
+    return principal_at(cs, loc)
 
+
+def _holds_the_far_copies(u, family, X):
+    """Whether the component generating the principal handle u holds every
+    vertex, up to a truncation depth, of the family's copies past all
+    indices of X: all but finitely many copies."""
+    m = 1 + max((x for v in X for x in v[2:] if isinstance(x, int)), default=0)
+    far = SymVertexSet.whole_copies(u.schema, family, SemilinearSet.range_set(m, m + 3))
+    gen = u.cs.vertices(u.gen)
+    return all(v in gen for v in far.explicit_below(m + 3))
+
+
+def test_induced_ultrafilter_matches_lift_then_restrict(rng):
+    # a cut leg's finite segment sorts before the hub's component
+    pinned = {"spider": [frozenset({("fam", "L", 4, 1), ("fam", "L", 4, 4)})]}
     levels = Counter()
     for name in SUITE + EXTRAS:
         # the twin's tangles commit independently of ours
@@ -131,21 +154,40 @@ def test_induced_ultrafilter_matches_lift_then_restrict(rng):
         ours = [t for t in suite_tangles(schema) if t.kind == "uf"]
         theirs = [t for t in suite_tangles(twin) if t.kind == "uf"]
         for t, r in zip(ours, theirs):
-            for _ in range(12):
-                X = random_level(schema, rng, 3, 6)
-                if rng.random() < 0.5:
-                    X |= t.witness
-                levels[t.witness <= X] += 1
+            drawn = [random_level(schema, rng, 3, 6) for _ in range(12)]
+            drawn = [X | t.witness if rng.random() < 0.5 else X for X in drawn]
+            for X in drawn + pinned.get(name, []):
+                levels[t.witness <= X, None] += 1
                 u = induced_ultrafilter(t, X)
-                assert handles_equivalent(u, reference(t, X))
-                ref = reference(r, X)
+                assert handles_equivalent(u, _lift_then_restrict(t.handle, X))
+                ref = _lift_then_restrict(r.handle, X)
                 assert u.cs == ref.cs and u.gen == ref.gen
                 assert u.is_principal == ref.is_principal
+                if u.is_principal:
+                    levels["principal", u.gen == ("concrete", 0)] += 1
+                    assert _holds_the_far_copies(u, t.handle.core.family, X)
+                else:
+                    assert u.core is t.handle.core
                 for _ in range(4):
                     sel = random_selection(u.cs, rng)
                     twin_sel = ComponentSelection.parse(ref.cs, sel.text())
                     assert u.membership(sel) == ref.membership(twin_sel)
-    assert levels[True] >= 20 and levels[False] >= 20
+    assert levels[True, None] >= 20 and levels[False, None] >= 20
+    assert levels["principal", True] >= 10 and levels["principal", False] >= 1
+
+
+def test_induced_ultrafilter_is_principal_at_the_far_copies():
+    # an infinite ray component sorts before the hub that keeps the leaves
+    schema = parse_schema(
+        "core:\nv b\nv m\nv z\nedge:\ne b m\ne m z\n"
+        "ray R at b\nfamily L pattern { v p } attach z p\n"
+    )
+    t = uf_tangle(schema)
+    X = frozenset({("core", "m")})
+    u = induced_ultrafilter(t, X)
+    assert u.cs.concretes[0].vertices.is_infinite and u.gen == ("concrete", 1)
+    assert _holds_the_far_copies(u, "L", X)
+    assert handles_equivalent(u, _lift_then_restrict(t.handle, X))
 
 
 def test_orienting_off_the_witness_leaves_the_lifted_level_unbuilt():
