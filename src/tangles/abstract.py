@@ -1,8 +1,8 @@
-"""Finite abstract separation systems: posets with an order-reversing
-involution, and the cardinality-free reformulation of the tangle property.
+"""The cardinality-free tangle property of abstract separation systems,
+checked on graph separations.
 
-The reformulation says a consistent orientation is a tangle exactly when
-no finite star inside it has a supremum whose inverse is small (below its
+The property says a consistent orientation is a tangle exactly when no
+finite star inside it has a supremum whose inverse is small (below its
 own involution image).  For graph separations the supremum of a star is
 the corner join fold, and its inverse is small exactly when the star's
 far sides meet in a finite set, so the two definitions can be compared
@@ -11,81 +11,7 @@ sample by sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
-
 from .separations import OrientedSeparation, from_vertex_sides, is_star
-
-
-@dataclass(frozen=True)
-class AbstractSystem:
-    elements: tuple
-    order: frozenset  # pairs (a, b) meaning a <= b
-    involution: tuple[tuple, ...]  # pairs (a, inv(a))
-
-    def inv(self, x):
-        for a, b in self.involution:
-            if a == x:
-                return b
-        raise KeyError(x)
-
-    def leq(self, a, b) -> bool:
-        return (a, b) in self.order
-
-
-def validate(sys: AbstractSystem) -> dict:
-    findings = []
-    elems = set(sys.elements)
-    mapped = dict(sys.involution)
-    if set(mapped) != elems or set(mapped.values()) != elems:
-        findings.append("involution is not a bijection on the elements")
-    else:
-        for x in sys.elements:
-            if mapped[mapped[x]] != x:
-                findings.append(f"involution not self-inverse at {x!r}")
-                break
-    for x in sys.elements:
-        if not sys.leq(x, x):
-            findings.append(f"order not reflexive at {x!r}")
-            break
-    for a, b in sys.order:
-        if a not in elems or b not in elems:
-            findings.append("order references unknown element")
-            break
-    for x, y in combinations(sys.elements, 2):
-        if sys.leq(x, y) and sys.leq(y, x):
-            findings.append(f"order not antisymmetric on {x!r}, {y!r}")
-            break
-    for x in sys.elements:
-        for y in sys.elements:
-            if not sys.leq(x, y):
-                continue
-            for z in sys.elements:
-                if sys.leq(y, z) and not sys.leq(x, z):
-                    findings.append("order not transitive")
-                    break
-    if not findings and set(mapped) == elems:
-        for x in sys.elements:
-            for y in sys.elements:
-                if sys.leq(x, y) != sys.leq(mapped[y], mapped[x]):
-                    findings.append(
-                        f"involution not order-reversing on {x!r}, {y!r}"
-                    )
-                    break
-    return {"ok": not findings, "findings": sorted(set(findings))}
-
-
-def from_separations(seps) -> AbstractSystem:
-    """The abstract system induced by oriented separations of one graph."""
-    seps = list(seps)
-    order = frozenset(
-        (a.text(), b.text()) for a in seps for b in seps if a.leq(b)
-    )
-    involution = tuple((s.text(), s.inverse().text()) for s in seps)
-    return AbstractSystem(tuple(s.text() for s in seps), order, involution)
-
-
-# -- the cardinality-free tangle property ---------------------------------------
 
 
 def star_supremum(star: list[OrientedSeparation]) -> OrientedSeparation:

@@ -21,7 +21,7 @@ from collections import deque
 from itertools import combinations
 
 from .graphs import FiniteGraph, bit_ids
-from .schema import SchemaGraph, vertex_text
+from .schema import SchemaGraph
 from .semilinear import SemilinearSet
 from .symsets import SymVertexSet
 
@@ -123,16 +123,18 @@ def _maximal_cliques(rel: list[int]) -> list[int]:
 # -- clique subdivisions ------------------------------------------------------
 
 
-def build_clique_subdivision(g: FiniteGraph, K, order=None) -> dict:
+def build_clique_subdivision(g: FiniteGraph, K) -> dict:
     """Greedily realise a subdivided complete graph with branch vertices K.
 
-    Paths are found pairwise in branch order; each must avoid K internally
-    and all inner vertices used earlier.  On failure the blocking pair is
-    reported, which indicates the inseparability precondition fails.
+    Paths are found pairwise in sorted branch order; each must avoid K
+    internally and all inner vertices used earlier.  On failure the blocking
+    pair is reported, which indicates the inseparability precondition fails.
     """
-    K = sorted(K) if order is None else list(order)
+    K = sorted(K)
     if any(v not in g.vertices for v in K):
         raise ValueError("branch vertices outside the graph")
+    if len(set(K)) != len(K):
+        raise ValueError("repeated branch vertex")
     used_inner: set[str] = set()
     paths: dict[tuple[str, str], list[str]] = {}
     for a_i, a in enumerate(K):
@@ -175,19 +177,18 @@ def _connecting_path(g, src, dst, forbidden, used_inner):
 
 
 def verify_subdivision(g: FiniteGraph, K, certificate: dict) -> bool:
-    """Check a certificate edge by edge: right endpoints, valid edges, and
-    pairwise internally disjoint paths avoiding the branch set."""
+    """Check a certificate edge by edge: one path joining each pair of branch
+    vertices (read off the paths' own ends), valid edges, and pairwise
+    internally disjoint paths avoiding the branch set."""
     if not certificate.get("ok"):
         return False
-    K = sorted(K)
-    paths = certificate["paths"]
-    if len(paths) != len(K) * (len(K) - 1) // 2:
+    K = set(K)
+    pairs = {frozenset(p) for p in combinations(K, 2)}
+    paths = list(certificate["paths"].values())
+    if len(paths) != len(pairs) or {frozenset((p[0], p[-1])) for p in paths if p} != pairs:
         return False
     seen_inner: list[str] = []
-    for key, path in paths.items():
-        a, b = key.split("--")
-        if path[0] != a or path[-1] != b:
-            return False
+    for path in paths:
         for u, v in zip(path, path[1:]):
             if not g.has_edge(u, v):
                 return False
@@ -226,15 +227,3 @@ def infinite_blocks(schema: SchemaGraph) -> list[dict]:
         }
         for c in schema.cliques
     ]
-
-
-def block_pair_check(
-    schema: SchemaGraph, block: dict, n: int, cut_bound: int
-) -> bool:
-    """Truncation probe: sampled pairs from the block are not separated by
-    fewer than cut_bound vertices in the depth-n truncation."""
-    g = schema.truncate(n)
-    name = block["clique"]
-    members = [vertex_text(("cliq", name, i)) for i in range(0, min(n, 6))]
-    members += [vertex_text(("core", c)) for c in block["attached_cores"]]
-    return all(pair_inseparable(g, u, v, cut_bound) for u, v in combinations(members, 2))

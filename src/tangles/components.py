@@ -226,12 +226,6 @@ class ComponentSelection:
         """Whether the selection contains finitely many components."""
         return all(p.is_finite for p in self.class_parts)
 
-    def count(self) -> int:
-        if not self.count_is_finite:
-            raise ValueError("infinitely many components selected")
-        n = sum(1 for f in self.concrete_flags if f)
-        return n + sum(p.count_below(p.bound) for p in self.class_parts)
-
     def union_vertices(self) -> SymVertexSet:
         sets = [
             c.vertices

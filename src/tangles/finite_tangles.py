@@ -154,11 +154,6 @@ class _Search:
             m |= self.a[o]
         return m == self.full
 
-    def toward(self, x: int, y: int) -> bool:
-        """x points towards y: A_x lies in B_y and A_y in B_x (symmetric)."""
-        a, inv = self.a, self.inv
-        return a[x] & ~a[inv[y]] == 0 and a[y] & ~a[inv[x]] == 0
-
     def tangle_refused(self, C: int, o: int) -> bool:
         """o covers the graph alone or with one or two members of the chosen
         bitset C.  This implies consistency, since inv(x) <= y makes
@@ -184,13 +179,6 @@ class _Search:
             if above(miss & ~a[c], S & tow[c]):
                 return True
         return False
-
-    def star_refusal(self, chosen, o: int) -> tuple[bool, int]:
-        """(refused, units spent) for adding o to the ids ``chosen`` in the
-        star-only search."""
-        spent = self.spent
-        refused = self.star_refused(sum(1 << c for c in set(chosen)), o)
-        return refused, self.spent - spent
 
     def search(self, star_only: bool, guard: int = DEFAULT_GUARD):
         """DFS over orientations, refusing choices that complete a forbidden
@@ -240,21 +228,6 @@ def enumerate_tangles(g, k: int, guard: int = DEFAULT_GUARD) -> list[frozenset]:
 
 def count_tangles(g, k: int, guard: int = DEFAULT_GUARD) -> int:
     return len(enumerate_tangles(g, k, guard))
-
-
-def is_tangle(g, k: int, orientation) -> bool:
-    """Whether a full orientation of the order-<k separations is a tangle."""
-    s = _Search(g, k)
-    pairs = set(orientation)
-    chosen = []
-    for i in range(len(s.seps)):
-        picks = [o for o in s.base[i] if s.oriented[o] in pairs]
-        if len(picks) != 1:
-            raise ValueError("not a full orientation (one side per separation required)")
-        chosen.append(picks[0])
-    if len(pairs) != len(s.seps):
-        raise ValueError("orientation mentions unknown separations")
-    return s.full_cover_free(chosen)
 
 
 def enumerate_tangles_by_scan(g, k: int, limit: int = 12) -> list[frozenset]:

@@ -91,13 +91,6 @@ class FiniteGraph:
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
 
-    def induced(self, keep) -> "FiniteGraph":
-        keep = frozenset(keep)
-        return FiniteGraph(
-            keep & self.vertices,
-            frozenset(e for e in self.edges if e[0] in keep and e[1] in keep),
-        )
-
     def relabel(self, mapping: dict[str, str]) -> "FiniteGraph":
         return FiniteGraph(
             frozenset(mapping[v] for v in self.vertices),

@@ -109,7 +109,7 @@ def leg_end(schema: SchemaGraph, family: str, index: int) -> End:
     return End("leg", (family,), index)
 
 
-def end_component(schema: SchemaGraph, end: End, cs: ComponentSet):
+def end_component(end: End, cs: ComponentSet):
     """The component of (graph minus X) the end lives in, as a locator."""
     loc = cs.locate(end.lives_in, end.copy)
     if loc is None:
@@ -194,7 +194,7 @@ def induced_ultrafilter(tangle: Tangle, X) -> UltrafilterHandle:
     X = schema.check_vertices(X)
     cs = components(schema, X)
     if tangle.kind == "end":
-        return principal_at(cs, end_component(schema, tangle.end, cs))
+        return principal_at(cs, end_component(tangle.end, cs))
     return induced_by_core(cs, tangle.handle.core)
 
 
@@ -274,10 +274,7 @@ def _end_in(schema: SchemaGraph, vs: SymVertexSet) -> End | None:
 
 
 def limit_of_tangle(tangle: Tangle) -> LimitFamily:
-    seed_level = tangle.witness or frozenset()
-    return LimitFamily(
-        tangle.schema, seed_level, lambda Y: induced_ultrafilter(tangle, Y)
-    )
+    return LimitFamily(tangle.schema, lambda Y: induced_ultrafilter(tangle, Y))
 
 
 def tangle_from_limit(limit: LimitFamily) -> Tangle:
@@ -315,15 +312,13 @@ def census(schema: SchemaGraph) -> dict:
         "classes": [{"family": f, "one_end_per_index": True} for f in cat.leg_families],
     }
     ufs = uf_classes(schema)
-    report = {
+    return {
         "schema": schema.digest(),
         "ends": ends,
         "end_count": "aleph0" if cat.has_infinitely_many else cat.finite_count,
         "uf_classes": ufs,
         "tangles_exist": bool(cat.singles or cat.leg_families or ufs),
     }
-    assert report["tangles_exist"], "every infinite graph carries a tangle"
-    return report
 
 
 def end_count_estimate(schema: SchemaGraph, n: int, r: int = 3) -> int:
@@ -445,7 +440,7 @@ def infinite_star_probe(tangle: Tangle, level: frozenset, family: str) -> dict:
             contained = contained and in_tangle(tangle, from_bipartition(schema, level, copy_i.complement()))
     else:
         contained = contained and not rest_copies.contains_component(
-            end_component(schema, tangle.end, cs)
+            end_component(tangle.end, cs)
         )
     # copy i's member has all but copy i on its far side
     far_side_finite = (sep0.side_B - rest_copies.union_vertices()).is_finite

@@ -34,15 +34,10 @@ def random_semilinear(rng: random.Random, within: SemilinearSet) -> SemilinearSe
     return within - prog
 
 
-def universe_pool(schema: SchemaGraph, depth_bound: int = 8) -> list[Vertex]:
-    """A finite, deterministic pool of vertices to draw deletions from."""
-    return schema.vertices_below(depth_bound)
-
-
 def random_vertices(
     schema: SchemaGraph, rng: random.Random, count: int, depth_bound: int = 8
 ) -> frozenset[Vertex]:
-    pool = universe_pool(schema, depth_bound)
+    pool = schema.vertices_below(depth_bound)
     count = min(count, len(pool))
     return frozenset(rng.sample(pool, count))
 

@@ -78,12 +78,11 @@ class SchemaError(ValueError):
 class SchemaGraph:
     """A validated schema.  Instances are immutable; compare by identity."""
 
-    def __init__(self, core: FiniteGraph, rays=(), families=(), cliques=(), source: str | None = None):
+    def __init__(self, core: FiniteGraph, rays=(), families=(), cliques=()):
         self.core = core
         self.rays = tuple(rays)
         self.families = tuple(families)
         self.cliques = tuple(cliques)
-        self._source = source
         self._component_cache: dict[frozenset, object] = {}
         self._truncation_cache: dict[int, FiniteGraph] = {}
         self._rays = {r.name: r for r in self.rays}
@@ -150,10 +149,6 @@ class SchemaGraph:
             raise SchemaError("schema is not connected")
 
     # -- basic structure -----------------------------------------------------
-
-    @classmethod
-    def from_finite(cls, g: FiniteGraph) -> "SchemaGraph":
-        return cls(core=g)
 
     @cached_property
     def is_infinite(self) -> bool:
@@ -497,6 +492,6 @@ def parse_schema(text: str) -> SchemaGraph:
         err(f"family {block[0]}: unterminated pattern block", len(text.splitlines()))
     core = FiniteGraph(frozenset(core_v), frozenset(core_e))
     try:
-        return SchemaGraph(core, rays, families, cliques, source=text)
+        return SchemaGraph(core, rays, families, cliques)
     except SchemaError as exc:
         raise GraphParseError(str(exc), 0) from exc

@@ -15,15 +15,14 @@ Both minima make the form canonical, so equality of the four ints decides
 set equality, and a set is finite exactly when its cycle is zero.  The
 boolean operations align their operands to a common threshold (the
 largest) and period (the lcm) by repeating each cycle, combine the masks
-with ``|``, ``&`` and ``& ~``, and minimise once.  Membership, counting and
-the smallest elements are bit reads and bit scans.
+with ``|``, ``&`` and ``& ~``, and minimise once.  Membership and the
+smallest elements are bit reads and bit scans.
 
 The text form lists the members below ``t`` and one progression
 ``a+dt`` per set bit of the cycle.  :meth:`items` yields them one at a
 time, read off the bits, so a text can be compared item by item without
-being built (a wide period has hundreds of thousands); :attr:`explicit` and
-:attr:`progressions` are the same data as Python collections, built on
-first use.
+being built (a wide period has hundreds of thousands); :attr:`progressions`
+holds the progressions as a Python tuple, built on first use.
 
 An aligned pattern is ``T + D`` bits wide; past :data:`WIDTH_CAP` bits an
 operation raises :class:`ResourceGuardError` instead of allocating (the
@@ -186,17 +185,7 @@ class SemilinearSet:
     def progression(cls, a: int, d: int) -> "SemilinearSet":
         return cls.make((), ((a, d),))
 
-    @classmethod
-    def range_set(cls, lo: int, hi: int) -> "SemilinearSet":
-        """Half-open range [lo, hi)."""
-        return cls.make(range(lo, hi))
-
     # -- views -----------------------------------------------------------
-
-    @cached_property
-    def explicit(self) -> frozenset[int]:
-        """The members below the threshold."""
-        return frozenset(_ones(self.low))
 
     @cached_property
     def progressions(self) -> tuple[tuple[int, int], ...]:
@@ -249,9 +238,6 @@ class SemilinearSet:
     def elements_below(self, n: int) -> list[int]:
         return _ones(self._prefix(n))
 
-    def count_below(self, n: int) -> int:
-        return self._prefix(n).bit_count()
-
     def first(self, k: int) -> list[int]:
         """The k smallest elements (fewer if the set is smaller)."""
         periods = -(-k // self.cycle.bit_count()) if self.cycle else 0
@@ -283,12 +269,6 @@ class SemilinearSet:
     __or__ = union
     __and__ = intersection
     __sub__ = difference
-
-    def issubset(self, other: "SemilinearSet") -> bool:
-        return self.difference(other).is_empty
-
-    def isdisjoint(self, other: "SemilinearSet") -> bool:
-        return self.intersection(other).is_empty
 
     def _align(self, other: "SemilinearSet"):
         """Common threshold and period, and both sets' (low, cycle) there."""

@@ -127,7 +127,7 @@ def from_vertex_sides(
     return OrientedSeparation(schema, X, toB)
 
 
-# -- stars and consistency ----------------------------------------------------
+# -- stars --------------------------------------------------------------------
 
 
 def is_star(seps) -> bool:
@@ -136,21 +136,6 @@ def is_star(seps) -> bool:
     for s, t in combinations(seps, 2):
         if not (s.leq(t.inverse()) and t.leq(s.inverse())):
             return False
-    return True
-
-
-def is_consistent(seps) -> bool:
-    """No two members point away from each other.
-
-    Two distinct oriented members u, w conflict when inverse(u) lies
-    below w; on full orientations this coincides with the strict reading,
-    and on arbitrary sets it rejects pairs like {(V, A), (A, V)}.
-    """
-    seps = list(seps)
-    for s in seps:
-        for t in seps:
-            if s != t and s.inverse().leq(t):
-                return False
     return True
 
 

@@ -115,10 +115,6 @@ class SymVertexSet:
         return cls(schema, frozenset(), (), frozenset())
 
     @classmethod
-    def all_vertices(cls, schema: SchemaGraph) -> "SymVertexSet":
-        return cls.empty(schema).complement()
-
-    @classmethod
     def of(cls, schema: SchemaGraph, vertices) -> "SymVertexSet":
         return cls.assemble(schema, schema.check_vertices(vertices))
 

@@ -55,19 +55,6 @@ class BasicOpen:
     def contains_tangle(self, tangle: Tangle) -> bool:
         return induced_ultrafilter(tangle, self.level).membership(self.selection)
 
-    def contains_point(self, point) -> bool:
-        """Point forms: ("vertex", v), ("edge", u, w, t) with 0<t<1, ("tangle", tangle)."""
-        match point:
-            case ("vertex", v):
-                return self.contains_vertex(v)
-            case ("edge", u, w, t):
-                if not 0 < t < 1:
-                    raise ValueError("edge points are interior")
-                return self.contains_edge_point(u, w)
-            case ("tangle", tangle):
-                return self.contains_tangle(tangle)
-        raise ValueError(f"bad point {point!r}")
-
     def text(self) -> str:
         return f"open {level_text(self.level)} C={self.selection.text()}"
 
@@ -184,7 +171,7 @@ def kernel_orientation_agrees(tangle: Tangle, sep: OrientedSeparation) -> bool:
     return in_tangle(tangle, sep) == k.issubset(sep.side_B)
 
 
-def level_cut(schema: SchemaGraph, tangle: Tangle, n: int) -> frozenset[Vertex]:
+def level_cut(tangle: Tangle, n: int) -> frozenset[Vertex]:
     """A finite set separating everything of depth < n from the end."""
     end = tangle.end
     cut = set(kernel(tangle).to_explicit())  # finite for non-clique ends
@@ -198,11 +185,11 @@ def level_cut(schema: SchemaGraph, tangle: Tangle, n: int) -> frozenset[Vertex]:
 def member_avoiding(tangle: Tangle, z: Vertex, n: int) -> OrientedSeparation:
     """A member of the end tangle with z strictly on the near side."""
     schema = tangle.schema
-    cut = level_cut(schema, tangle, n)
+    cut = level_cut(tangle, n)
     if z in cut:
         raise ValueError("vertex sits on the cut")
     cs = components(schema, cut)
-    sep = from_bipartition(schema, cut, cs.only(end_component(schema, tangle.end, cs)))
+    sep = from_bipartition(schema, cut, cs.only(end_component(tangle.end, cs)))
     if z in sep.side_B:
         raise AssertionError("cut failed to strip the vertex from the end side")
     return sep

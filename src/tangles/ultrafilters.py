@@ -64,17 +64,6 @@ class LazyCore:
             {"trace": q.text(), "answer": a, "forced": forced} for q, a, forced in self.log
         ]
 
-    @classmethod
-    def replay(cls, family: str, initial_base: SemilinearSet, entries) -> "LazyCore":
-        """Rebuild a core from a dumped log, re-validating every decision."""
-        core = cls(family, initial_base)
-        for e in entries:
-            trace, want = e["trace"], e["answer"]
-            got = core.decide(SemilinearSet.parse(trace), lambda: want)
-            if got != want:
-                raise ValueError(f"log entry {trace} -> {want} contradicts earlier commitments")
-        return core
-
 
 @dataclass
 class UltrafilterHandle:
@@ -197,22 +186,14 @@ def lift_ultrafilter(U: UltrafilterHandle, Xp) -> UltrafilterHandle:
     return UltrafilterHandle(cs, core=U.core)
 
 
-def preimage_selection(sel: ComponentSelection, fine: ComponentSet) -> ComponentSelection:
-    """The components at the finer level contained in some selected coarse component."""
-    if not sel.cs.removed <= fine.removed:
-        raise ValueError("preimage goes from coarse to fine levels")
-    return fine.partition_by(sel.union_vertices())
-
-
 # -- limits ------------------------------------------------------------------
 
 
 @dataclass
 class LimitFamily:
-    """A compatible family of ultrafilters, one per finite level, given by a seed."""
+    """A compatible family of ultrafilters, one per finite level, evaluated on demand."""
 
     schema: SchemaGraph
-    seed_level: frozenset[Vertex]
     _evaluator: object  # frozenset -> UltrafilterHandle
 
     def eval(self, Y) -> UltrafilterHandle:
@@ -225,4 +206,4 @@ def limit_from_nonprincipal(U: UltrafilterHandle) -> LimitFamily:
     if U.is_principal:
         raise PrincipalInputError("seed must be non-principal")
     schema, core = U.schema, U.core
-    return LimitFamily(schema, U.level, lambda Y: induced_by_core(components(schema, Y), core))
+    return LimitFamily(schema, lambda Y: induced_by_core(components(schema, Y), core))

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from nx_reference import min_separator_size, reference_k_blocks, separator_sizes
 
 from tangles.blocks import (
-    block_pair_check,
     build_clique_subdivision,
     infinite_blocks,
     is_inseparable,
@@ -16,6 +15,7 @@ from tangles.blocks import (
 )
 from tangles.finite_tangles import connected_graphs_up_to
 from tangles.graphs import FiniteGraph, complete_graph, from_edges, grid_graph, path_graph
+from tangles.schema import vertex_text
 
 
 def k5_minus_edge():
@@ -179,6 +179,15 @@ def test_verify_rejects_corrupted_certificates():
     key = sorted(bad["paths"])[0]
     bad["paths"][key] = bad["paths"][key] + [bad["paths"][key][-1]]
     assert not verify_subdivision(k5, k5.vertices, bad)
+    # forgeries that leave a branch pair unjoined: a-b twice and no b-c
+    # path, or a path between two vertices outside the branch set
+    k3 = complete_graph(3)
+    a, b, c = sorted(k3.vertices)
+    twice = {"ok": True, "paths": {f"{a}--{b}": [a, b], f"{b}--{a}": [b, a], f"{a}--{c}": [a, c]}}
+    assert not verify_subdivision(k3, k3.vertices, twice)
+    g = from_edges([*k3.edges, ("x", "y")])
+    outside = {"ok": True, "paths": {f"{a}--{b}": [a, b], f"{a}--{c}": [a, c], "x--y": ["x", "y"]}}
+    assert not verify_subdivision(g, k3.vertices, outside)
 
 
 def test_random_dense_instances(rng):
@@ -206,6 +215,16 @@ def test_random_dense_instances(rng):
                     if u < v and not g.has_edge(u, v):
                         assert min_separator_size(g, u, v) >= len(K) - 1
     assert built >= 3
+
+
+def block_pair_check(schema, block: dict, n: int, cut_bound: int) -> bool:
+    """Truncation probe: sampled pairs from the block are not separated by
+    fewer than cut_bound vertices in the depth-n truncation."""
+    g = schema.truncate(n)
+    name = block["clique"]
+    members = [vertex_text(("cliq", name, i)) for i in range(0, min(n, 6))]
+    members += [vertex_text(("core", c)) for c in block["attached_cores"]]
+    return all(pair_inseparable(g, u, v, cut_bound) for u, v in combinations(members, 2))
 
 
 def test_infinite_blocks(schemas):

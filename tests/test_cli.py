@@ -9,7 +9,7 @@ import pytest
 
 from tangles import cli
 from tangles.cli import main
-from tangles.graphs import render_finite, complete_graph
+from tangles.graphs import complete_graph, from_edges, render_finite
 
 
 @pytest.fixture()
@@ -123,13 +123,38 @@ def test_subcover_cli(capsys, tmp_path):
     assert data["verdict"] == "REFUTED" and data["missed_by_every_open"]
 
 
-def test_blocks_and_tk(capsys, k4_file):
+def test_blocks_and_tk(capsys, k4_file, tmp_path):
     code, out = run(capsys, "blocks", k4_file, "--k", "3", "--json")
     assert json.loads(out)["blocks"] == [["k0", "k1", "k2", "k3"]]
     code, out = run(capsys, "blocks", "builtin:cliq", "--json")
     assert json.loads(out)["infinite_blocks"][0]["clique"] == "K"
     code, out = run(capsys, "tk", k4_file, "--set", "k0,k1,k2,k3", "--json")
     assert code == 0 and json.loads(out)["ok"]
+    # a vertex id may contain the `--` that joins a path's key
+    dash = tmp_path / "dash.g"
+    dash.write_text(render_finite(from_edges([("p--q", "r"), ("r", "s"), ("s", "p--q")])))
+    code, out = run(capsys, "tk", str(dash), "--set", "p--q,r,s", "--json")
+    assert code == 0 and json.loads(out)["ok"]
+
+
+def test_commands_load_neither_networkx_nor_numpy(k4_file):
+    # only `check` needs networkx; run the others in one fresh interpreter
+    code = (
+        "import sys\n"
+        "from tangles import cli\n"
+        f"k4 = {k4_file!r}\n"
+        "for argv in (['census', 'builtin:star'],\n"
+        "             ['uf', 'builtin:star', '--at', 'core:c', '--query', '{L{0+2t}}'],\n"
+        "             ['finite', k4, '--order', '2'], ['blocks', k4, '--k', '3']):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "print(sorted({'networkx', 'numpy'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_observation_cli(capsys):
@@ -176,7 +201,7 @@ def test_sample_and_truncation_options_only_where_used(capsys, k4_file):
         assert exc.value.code == 2
 
 
-def test_bad_inputs_exit_2(capsys, tmp_path):
+def test_bad_inputs_exit_2(capsys, tmp_path, k4_file):
     bad = tmp_path / "bad.g"
     bad.write_text("v a\ne a a\n")
     assert main(["finite", str(bad), "--order", "2"]) == 2
@@ -187,6 +212,9 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     # no verdict over zero probe levels or zero sampled stars
     assert main(["closed", "builtin:star", "--tangle", "uf:L", "--levels", "0"]) == 2
     assert main(["observation", "builtin:ray", "--samples", "0"]) == 2
+    # a repeated branch vertex is bad input, not a failed subdivision
+    assert main(["tk", k4_file, "--set", "k0,k0"]) == 2
+    assert "repeated branch vertex" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

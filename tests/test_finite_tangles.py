@@ -14,7 +14,6 @@ from tangles.finite_tangles import (
     count_tangles,
     enumerate_tangles,
     enumerate_tangles_by_scan,
-    is_tangle,
     separations_below_order,
 )
 from tangles.graphs import complete_graph, cycle_graph, from_edges, grid_graph, path_graph
@@ -63,9 +62,6 @@ def test_k2_tangle_explicitly():
     assert t == frozenset(
         {(frozenset(), V), (frozenset({"k0"}), V), (frozenset({"k1"}), V)}
     )
-    assert is_tangle(k2, 2, t)
-    flipped = (t - {(frozenset(), V)}) | {(V, frozenset())}
-    assert not is_tangle(k2, 2, flipped)
 
 
 def test_scan_agrees_with_dfs():
@@ -172,6 +168,13 @@ def test_grid_4x4_order_4():
     assert check_star_reduction(g, 4)["ok"]
 
 
+def toward(s, x, y) -> bool:
+    """Reference for the search's rows: oriented separation x points towards
+    y when A_x lies in B_y and A_y in B_x (symmetric)."""
+    a, inv = s.a, s.inv
+    return a[x] & ~a[inv[y]] == 0 and a[y] & ~a[inv[x]] == 0
+
+
 def _petersen():
     outer = [(f"o{i}", f"o{(i + 1) % 5}") for i in range(5)]
     spokes = [(f"o{i}", f"i{i}") for i in range(5)]
@@ -197,7 +200,7 @@ def test_relation_rows_match_pairwise_tests(g, k):
         Ax, Bx = s.oriented[x]
         for y in ids:
             Ay, By = s.oriented[y]
-            assert (tow[x] >> y & 1) == s.toward(x, y)
+            assert (tow[x] >> y & 1) == toward(s, x, y)
             assert (inc[x] >> y & 1) == (Bx <= Ay and By <= Ax)
         m = s.full ^ s.a[x]
         assert s.above(m, every) == sum(1 << y for y in ids if m & ~s.a[y] == 0)
@@ -210,8 +213,8 @@ def test_star_test_refuses_exactly_covering_stars():
     kinds = set()
     for o, c, d in combinations(range(len(s.a)), 3):
         if s.covers(o, c, d) and not any(s.covers(x, y) for x, y in [(o, c), (o, d), (c, d)]):
-            star = s.toward(o, c) and s.toward(o, d) and s.toward(c, d)
-            assert s.star_refusal([c, d], o)[0] == star
+            star = toward(s, o, c) and toward(s, o, d) and toward(s, c, d)
+            assert s.star_refused(1 << c | 1 << d, o) == star
             kinds.add(star)
     assert kinds == {True, False}
 

@@ -139,7 +139,7 @@ def _holds_the_far_copies(u, family, X):
     vertex, up to a truncation depth, of the family's copies past all
     indices of X: all but finitely many copies."""
     m = 1 + max((x for v in X for x in v[2:] if isinstance(x, int)), default=0)
-    far = SymVertexSet.whole_copies(u.schema, family, SemilinearSet.range_set(m, m + 3))
+    far = SymVertexSet.whole_copies(u.schema, family, SemilinearSet.make(range(m, m + 3)))
     gen = u.cs.vertices(u.gen)
     return all(v in gen for v in far.explicit_below(m + 3))
 
@@ -338,6 +338,16 @@ def test_census_values(schemas):
         assert rep["tangles_exist"]
     rep = census(schemas["spider"])
     assert rep["uf_classes"][0]["witness"] == ["core:c"]
+
+
+def test_census_computes_its_verdict(schemas, monkeypatch):
+    # with no ends and no ultrafilter classes the report says so
+    import tangles.infinite_tangles as it
+
+    monkeypatch.setattr(it, "end_catalogue", lambda schema: it.EndCatalogue((), ()))
+    monkeypatch.setattr(it, "uf_classes", lambda schema: [])
+    rep = census(schemas["ray"])
+    assert rep["tangles_exist"] is False and rep["end_count"] == 0
 
 
 def test_every_infinite_schema_has_a_tangle(schemas):

@@ -27,7 +27,7 @@ def test_basic_examples():
     assert not (evens | odds).is_finite
     assert (evens & odds).is_empty
     assert (evens & odds).is_finite
-    assert SemilinearSet.range_set(0, 10).complement() == SemilinearSet.from_(10)
+    assert SemilinearSet.make(range(10)).complement() == SemilinearSet.from_(10)
 
 
 def test_canonical_form_is_minimal():
@@ -45,7 +45,7 @@ def test_finite_iff_no_progressions():
     assert not SemilinearSet.progression(3, 5).is_finite
     cof = SemilinearSet.naturals() - SemilinearSet.of(4)
     assert not cof.is_finite
-    assert (cof & SemilinearSet.range_set(0, 6)).is_finite
+    assert (cof & SemilinearSet.make(range(6))).is_finite
 
 
 def test_membership_and_min():
@@ -97,14 +97,6 @@ def test_finiteness_matches_sampling_bound(s):
     # finite exactly when nothing appears at or beyond the periodic bound
     has_large = any(x in s for x in range(s.bound, s.bound + 8))
     assert s.is_finite == (not has_large)
-
-
-@given(sls, sls)
-@settings(max_examples=60, deadline=None)
-def test_subset_and_disjoint(a, b):
-    n = max(a.bound, b.bound) + 30
-    assert a.issubset(b) == (members(a, n) <= members(b, n))
-    assert a.isdisjoint(b) == (not members(a, n) & members(b, n))
 
 
 # -- differential check against the pointwise algorithm ------------------------
@@ -182,13 +174,12 @@ raw_sets = st.tuples(
 
 def assert_same(s, ref):
     assert s.text() == ref.text()
-    assert s.explicit == ref.explicit and s.progressions == ref.progs
+    assert frozenset(s.elements_below(s.t)) == ref.explicit and s.progressions == ref.progs
     assert s.bound == ref.bound
     assert s.first(8) == ref.first(8)
     n = ref.bound + 2 * ref.period
     assert [x in s for x in range(n)] == [x in ref for x in range(n)]
     assert s.elements_below(n) == [x for x in range(n) if x in ref]
-    assert s.count_below(n) == sum(x in ref for x in range(n))
     assert s.is_finite == (not ref.progs)
 
 

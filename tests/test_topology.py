@@ -52,9 +52,6 @@ def test_basic_open_membership(schemas):
     u = t.handle
     in_odds = u.membership(evens.complement())
     assert odds_open.contains_tangle(t) == in_odds
-    assert odds_open.contains_point(("edge", ("core", "c"), ("fam", "L", 7, "p"), 0.5))
-    with pytest.raises(ValueError):
-        odds_open.contains_point(("edge", ("core", "c"), ("fam", "L", 7, "p"), 1.0))
 
 
 def test_basic_open_text_roundtrip(schemas):

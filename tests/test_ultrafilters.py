@@ -10,7 +10,6 @@ from tangles.ultrafilters import (
     lazy_on,
     lift_ultrafilter,
     limit_from_nonprincipal,
-    preimage_selection,
     principal_at,
     principal_at_vertex,
     restrict_ultrafilter,
@@ -34,7 +33,7 @@ def test_principal_membership(schemas):
 def test_lazy_rejects_finite_and_decides_deterministically(schemas):
     star, X, cs = star_level(schemas)
     u = lazy_on(cs, "L")
-    first_ten = cs.selection(class_parts={"L": SemilinearSet.range_set(0, 10)})
+    first_ten = cs.selection(class_parts={"L": SemilinearSet.make(range(10))})
     assert not u.membership(first_ten)
     evens = cs.selection(class_parts={"L": SemilinearSet.progression(0, 2)})
     mult4 = cs.selection(class_parts={"L": SemilinearSet.progression(0, 4)})
@@ -74,26 +73,6 @@ def test_ultrafilter_never_contains_empty(schemas, rng):
     u = lazy_on(cs)
     assert not u.membership(cs.select_none())
     assert u.membership(cs.select_all())
-
-
-def test_log_replay_reproduces_the_handle(schemas, rng):
-    star, X, cs = star_level(schemas)
-    u = lazy_on(cs, "L")
-    sels = [random_selection(cs, rng) for _ in range(30)]
-    answers = [u.membership(s) for s in sels]
-    from tangles.ultrafilters import LazyCore, UltrafilterHandle
-
-    core2 = LazyCore.replay("L", cs.class_for("L").indices, u.core.log_json())
-    assert core2.base == u.core.base
-    u2 = UltrafilterHandle(cs, core=core2)
-    assert [u2.membership(s) for s in sels] == answers
-    # a contradictory log is rejected
-    bad = u.core.log_json()
-    flips = [e for e in bad if not e["forced"]]
-    if flips:
-        flips[0]["answer"] = not flips[0]["answer"]
-        with pytest.raises(ValueError, match="contradicts"):
-            LazyCore.replay("L", cs.class_for("L").indices, bad)
 
 
 def test_restrict_principal_maps_principal(schemas):
@@ -178,7 +157,7 @@ def test_preimage_matches_restriction(schemas, rng):
             Xp = X | random_level(schema, rng, 2, 6)
             cs, csp = components(schema, X), components(schema, Xp)
             sel = random_selection(cs, rng)
-            pre = preimage_selection(sel, csp)
+            pre = csp.partition_by(sel.union_vertices())
             locs = [("concrete", k) for k in range(len(csp.concretes))]
             for kk, cl in enumerate(csp.classes):
                 locs += [("class", kk, i) for i in cl.indices.first(3)]
@@ -195,10 +174,10 @@ def test_preimage_edge_cases(schemas):
     Xp = X | {("fam", "L", 0, "p")}
     cs, csp = components(star, X), components(star, Xp)
     evens = cs.selection(class_parts={"L": SemilinearSet.progression(0, 2)})
-    pre = preimage_selection(evens, csp)
+    pre = csp.partition_by(evens.union_vertices())
     assert pre.class_parts[csp.class_index("L")] == SemilinearSet.progression(2, 2)
-    assert preimage_selection(cs.select_none(), csp).is_empty
-    assert preimage_selection(cs.select_all(), csp).is_all
+    assert csp.partition_by(cs.select_none().union_vertices()).is_empty
+    assert csp.partition_by(cs.select_all().union_vertices()).is_all
 
 
 def test_limit_family_compatibility(schemas, rng):
