@@ -127,7 +127,8 @@ def build_clique_subdivision(g: FiniteGraph, K) -> dict:
     """Greedily realise a subdivided complete graph with branch vertices K.
 
     Paths are found pairwise in sorted branch order; each must avoid K
-    internally and all inner vertices used earlier.  On failure the blocking
+    internally and all inner vertices used earlier.  ``paths`` lists one
+    ``[x, y, path]`` entry per pair in build order.  On failure the blocking
     pair is reported, which indicates the inseparability precondition fails.
     """
     K = sorted(K)
@@ -136,19 +137,15 @@ def build_clique_subdivision(g: FiniteGraph, K) -> dict:
     if len(set(K)) != len(K):
         raise ValueError("repeated branch vertex")
     used_inner: set[str] = set()
-    paths: dict[tuple[str, str], list[str]] = {}
+    paths: list[list] = []
     for a_i, a in enumerate(K):
         for b in K[:a_i]:
             path = _connecting_path(g, b, a, set(K) - {a, b}, used_inner)
             if path is None:
-                return {
-                    "ok": False,
-                    "blocking_pair": (b, a),
-                    "paths": {f"{x}--{y}": p for (x, y), p in paths.items()},
-                }
-            paths[(b, a)] = path
+                return {"ok": False, "blocking_pair": (b, a), "paths": paths}
+            paths.append([b, a, path])
             used_inner.update(path[1:-1])
-    return {"ok": True, "paths": {f"{x}--{y}": p for (x, y), p in paths.items()}}
+    return {"ok": True, "paths": paths}
 
 
 def _connecting_path(g, src, dst, forbidden, used_inner):
@@ -177,18 +174,20 @@ def _connecting_path(g, src, dst, forbidden, used_inner):
 
 
 def verify_subdivision(g: FiniteGraph, K, certificate: dict) -> bool:
-    """Check a certificate edge by edge: one path joining each pair of branch
-    vertices (read off the paths' own ends), valid edges, and pairwise
-    internally disjoint paths avoiding the branch set."""
+    """Check a certificate edge by edge: one ``[x, y, path]`` entry per pair
+    of branch vertices, each path running from x to y along edges of g, and
+    pairwise internally disjoint paths avoiding the branch set."""
     if not certificate.get("ok"):
         return False
     K = set(K)
     pairs = {frozenset(p) for p in combinations(K, 2)}
-    paths = list(certificate["paths"].values())
-    if len(paths) != len(pairs) or {frozenset((p[0], p[-1])) for p in paths if p} != pairs:
+    entries = certificate["paths"]
+    if len(entries) != len(pairs) or {frozenset((x, y)) for x, y, _ in entries} != pairs:
         return False
     seen_inner: list[str] = []
-    for path in paths:
+    for x, y, path in entries:
+        if not path or (path[0], path[-1]) != (x, y):
+            return False
         for u, v in zip(path, path[1:]):
             if not g.has_edge(u, v):
                 return False

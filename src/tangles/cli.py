@@ -58,7 +58,7 @@ def _emit(args, report: dict, ok: bool = True) -> int:
     return 0 if ok else 1
 
 
-def _print_plain(report, indent=0):
+def _print_plain(report, indent=0, item=False):
     pad = "  " * indent
     if isinstance(report, dict):
         for k, v in report.items():
@@ -69,8 +69,10 @@ def _print_plain(report, indent=0):
                 print(f"{pad}{k}: {v}")
     elif isinstance(report, list):
         for v in report:
-            if isinstance(v, (dict, list)):
-                _print_plain(v, indent)
+            if item and isinstance(v, list):  # a list in a list item: a tk entry's path
+                _print_plain(v, indent + 1, item=True)
+            elif isinstance(v, (dict, list)):
+                _print_plain(v, indent, item=True)
                 print()
             else:
                 print(f"{pad}- {v}")

@@ -7,22 +7,32 @@ graph minus the separator lies wholly on one side.  An orientation is a
 tangle when no one-, two- or three-element multiset drawn from it covers
 the whole graph with its left sides.
 
-Each oriented separation (A, B) is one Python int with a bit per vertex of
-A and per edge inside A: a multiset covers exactly when the OR of its masks
-is full, and the separation order is two subset tests.  Transposed, every
-bit b of the graph has a row ``holders[b]``, one int with a bit per oriented
-separation whose A-side has b, so ``above(m, within)``, the ids in the
-bitset ``within`` whose A-side contains mask m, is one AND per bit of m and
-stops at 0.
+The oracle works on integers and builds vertex names only for output.  The
+generator ``_separation_masks`` puts vertex i of the sorted names at bit
+n - 1 - i and finds the components behind each separator by a flood over
+neighbour masks.  In that reverse layout, sides of one size compare by their
+sorted names as their integers compare in reverse, so the canonical order of
+the pairs is a sort on integer keys.  ``separations_below_order`` is the name
+view of that list.
+
+The searches put vertex i at bit i and edge j of the sorted edges at bit
+n + j: each oriented separation (A, B) is one Python int with a bit per
+vertex of A and per edge inside A.  A multiset covers exactly when the OR of
+its masks is full, and the separation order is two subset tests.  Transposed,
+every bit b of the graph has a row ``holders[b]``, one int with a bit per
+oriented separation whose A-side has b; a vertex row is a column of the
+generator's masks, and an edge row the AND of its ends' rows.  So
+``above(m, within)``, the ids in the bitset ``within`` whose A-side contains
+mask m, is one AND per bit of m and stops at 0.
 
 The searches are iterative depth-first scans that keep the chosen ids as one
 bitset C.  The tangle search refuses o when ``above`` finds in C one or two
-members completing o's cover.  The star search builds per oriented
-separation a row of the ids pointing towards it and a row of those
-inconsistent with it, and looks for covers only among the members of C that
-point towards o.  The guard counts ANDs, the row build included; one costs
-about 0.5-0.7 us in CPython 3.11 on graphs with up to ~10^4 oriented
-separations.
+members completing o's cover.  The star search reads per oriented separation
+a row of the ids pointing towards it and a row of those inconsistent with
+it, both taken from one relation down[x] = {y <= x}, and looks for covers
+only among the members of C that point towards o.  The guard counts ANDs,
+the row build included; one costs about 0.5-0.7 us in CPython 3.11 on
+graphs with up to ~10^4 oriented separations.
 """
 
 from __future__ import annotations
@@ -44,37 +54,77 @@ def _key(s: frozenset) -> tuple:
     return (len(s), tuple(sorted(s)))
 
 
+def _separation_masks(g, k: int) -> list[tuple[int, int]]:
+    """All unordered separations {A, B} of order < k as pairs of vertex masks,
+    vertex i of ``g.numbered`` at bit n - 1 - i.
+
+    Each pair is ordered, and the list sorted, as :func:`separations_below_order`
+    orders the named sides: by size, then by sorted names.  Among sides of one
+    size the sorted names compare as the integers do in reverse, since the
+    first name where they differ is the highest bit of A ^ B.
+    """
+    if k < 1:
+        raise ValueError("order must be >= 1")
+    nbrs = g.numbered[2]
+    n = len(nbrs)
+    full = (1 << n) - 1
+    near = [0] * n  # near[p]: the neighbours of the vertex at bit p
+    for i, nb in enumerate(nbrs):
+        near[n - 1 - i] = sum(1 << (n - 1 - j) for j in nb)
+    keys = []
+    for size in range(min(k, n + 1)):
+        for xs in combinations([1 << p for p in range(n)], size):
+            X = sum(xs)
+            rest, comps = full ^ X, []
+            while rest:  # flood one component per round from its lowest bit
+                comp = todo = rest & -rest
+                rest ^= comp
+                while todo:
+                    low = todo & -todo
+                    new = near[low.bit_length() - 1] & rest
+                    rest ^= new
+                    comp |= new
+                    todo ^= low | new
+                comps.append(comp)
+            if len(comps) > MAX_COMPONENTS:
+                raise ResourceGuardError(
+                    f"{len(comps)} components behind a separator; bipartition scan too large"
+                )
+            sides = [X]  # the first component, if any, stays on the B side
+            for c in comps[1:]:
+                sides += [s | c for s in sides]
+            for A in sides:
+                B = full ^ A | X
+                a, b = A.bit_count(), B.bit_count()
+                if a < b or a == b and A > B:
+                    keys.append((size, a, -A, b, -B))
+                else:
+                    keys.append((size, b, -B, a, -A))
+    keys.sort()
+    return [(-A, -B) for _, _, A, _, B in keys]
+
+
+def _named(g, seps: list[tuple[int, int]]) -> list[OrientedPair]:
+    """The vertex sets of :func:`_separation_masks` pairs."""
+    names = g.numbered[0][::-1]  # bit p holds vertex n - 1 - p
+    return [tuple(frozenset(names[p] for p in bit_ids(m)) for m in pair) for pair in seps]
+
+
 def separations_below_order(g, k: int) -> list[OrientedPair]:
     """All unordered separations {A, B} of order < k, as canonical pairs.
 
     The pair is ordered so that the lexicographically smaller side comes
     first; callers orient them explicitly.
     """
-    if k < 1:
-        raise ValueError("order must be >= 1")
-    out: set[OrientedPair] = set()
-    verts = sorted(g.vertices)
-    for size in range(min(k, len(verts) + 1)):
-        for xs in combinations(verts, size):
-            X = frozenset(xs)
-            comps = g.components(removed=X)
-            if len(comps) > MAX_COMPONENTS:
-                raise ResourceGuardError(
-                    f"{len(comps)} components behind a separator; bipartition scan too large"
-                )
-            for mask in range(2 ** len(comps)):
-                b_side = [c for j, c in enumerate(comps) if mask >> j & 1]
-                a_side = [c for j, c in enumerate(comps) if not mask >> j & 1]
-                A = X.union(*a_side) if a_side else X
-                B = X.union(*b_side) if b_side else X
-                out.add((A, B) if _key(A) <= _key(B) else (B, A))
-    return sorted(out, key=lambda ab: (len(ab[0] & ab[1]), _key(ab[0]), _key(ab[1])))
+    return _named(g, _separation_masks(g, k))
 
 
 def _holders(masks: list[int], width: int) -> list[int]:
     """rows[b] is the bitset of the indices i whose masks[i] has bit b."""
     # transpose the masks' binary digits: column j of the text is bit
     # width - 1 - j, and its first character belongs to the last mask
+    if not masks:  # no text to take columns from
+        return [0] * width
     text = [bin(m | 1 << width)[3:] for m in reversed(masks)]
     return [int("".join(col), 2) for col in reversed(list(zip(*text)))]
 
@@ -84,35 +134,43 @@ class _Search:
     """Shared precomputation for orientation scans over one (graph, k): ``a[o]``
     masks the A-side of oriented separation o and ``a[inv[o]]`` its B-side;
     ``holders[b]`` is the bitset of the ids o whose A-side has bit b.  ``spent``
-    counts the ANDs of the running search, which stops beyond ``guard``."""
+    counts the ANDs of the running search, which stops beyond ``guard``.
+
+    ``seps`` holds the vertex masks of :func:`_separation_masks`, vertex i at
+    bit n - 1 - i; ``a`` and ``holders`` put vertex i at bit i and edge j of
+    the sorted edges at bit n + j."""
 
     g: object
     k: int
 
     def __post_init__(self):
-        g = self.g
-        self.seps = separations_below_order(g, self.k)
-        bit = {v: 1 << i for i, v in enumerate(sorted(g.vertices))}
-        # (mask of both ends, bit of the edge) for every edge
-        ends = [(bit[u] | bit[v], 1 << (len(bit) + j)) for j, (u, v) in enumerate(sorted(g.edges))]
-        width = len(bit) + len(ends)
-        self.full = (1 << width) - 1
-        self.vertex_bits = (1 << len(bit)) - 1
-
-        def mask(side) -> int:
-            m = sum(bit[v] for v in side)
-            return m | sum(e for uv, e in ends if m & uv == uv)
-
-        self.oriented: list[OrientedPair] = []
+        nbrs = self.g.numbered[2]
+        n = len(nbrs)
+        self.seps = _separation_masks(self.g, self.k)
+        sides: list[int] = []
         self.base: list[tuple[int, ...]] = []
         for A, B in self.seps:
-            o = len(self.oriented)
-            self.oriented += [(A, B)] if A == B else [(A, B), (B, A)]
-            self.base.append(tuple(range(o, len(self.oriented))))
+            o = len(sides)
+            sides += [A] if A == B else [A, B]
+            self.base.append(tuple(range(o, len(sides))))
         self.inv = [o for b in self.base for o in reversed(b)]
-        self.a = [mask(A) for A, _ in self.oriented]
-        self.holders = _holders(self.a, width)
+        # a vertex row is a column of the sides' masks, read in reverse to
+        # undo their layout; an edge's row is the AND of its ends' rows
+        rows = _holders(sides, n)[::-1]
+        rows += [rows[i] & rows[j] for i, nb in enumerate(nbrs) for j in nb if i < j]
+        self.holders = rows
+        self.a = _holders(rows, len(sides))
+        self.full = (1 << len(rows)) - 1
+        self.vertex_bits = (1 << n) - 1
         self.guard, self.spent = DEFAULT_GUARD, 0
+
+    @cached_property
+    def oriented(self) -> list[OrientedPair]:
+        """The vertex sets of each oriented separation, by id; built for output."""
+        out = []
+        for A, B in _named(self.g, self.seps):
+            out += [(A, B)] if A == B else [(A, B), (B, A)]
+        return out
 
     def meet(self, rows: list[int], m: int, within: int) -> int:
         """``within`` ANDed with rows[b] for each bit b of m, stopping at 0;
@@ -136,17 +194,28 @@ class _Search:
     def rows(self) -> tuple[list[int], list[int]]:
         """(tow, inc): tow[x] holds the ids y pointing towards x (A_x in B_y and
         A_y in B_x), inc[x] those inconsistent with x (B_x in A_y and B_y in A_x).
-        The vertex bits decide these inclusions, since a side's mask holds
-        every edge with both ends in it."""
-        a, v, ids = self.a, self.vertex_bits, range(len(self.a))
-        b = [a[i] & v for i in self.inv]
+
+        Both are read off one relation, down[x] = {y <= x} (A_y in A_x and B_x
+        in B_y): y points towards x when y <= inv x, and is inconsistent with
+        x when inv y <= x.  The vertex bits decide these inclusions, since a
+        side's mask holds every edge with both ends in it."""
+        a, v, n = self.a, self.vertex_bits, self.vertex_bits.bit_length()
         every = (1 << len(a)) - 1
-        b_holders = _holders(b, v.bit_length())
-        a_lacks = [every ^ h for h in self.holders[: v.bit_length()]]
-        b_lacks = [every ^ h for h in b_holders]
-        tow = [self.meet(b_holders, a[x] & v, self.meet(a_lacks, v ^ b[x], every)) for x in ids]
-        inc = [self.above(b[x], self.meet(b_lacks, v & ~a[x], every)) for x in ids]
-        return tow, inc
+        # ids 2i and 2i + 1 orient separation i; only (V, V), which sorts
+        # last, is its own inverse
+        top = len(a) // 2 * 2
+        even = ((1 << top) - 1) // 3
+
+        def swap(x: int) -> int:  # the bitset x with every id o moved to inv[o]
+            return (x & even) << 1 | x >> 1 & even | x >> top << top
+
+        a_lacks = [every ^ h for h in self.holders[:n]]
+        b_holders = [swap(h) for h in self.holders[:n]]
+        down = [
+            self.meet(b_holders, a[x_inv] & v, self.meet(a_lacks, v & ~a[x], every))
+            for x, x_inv in enumerate(self.inv)
+        ]
+        return [down[y] for y in self.inv], [swap(d) for d in down]
 
     def covers(self, *os) -> bool:
         m = 0
@@ -154,30 +223,77 @@ class _Search:
             m |= self.a[o]
         return m == self.full
 
+    # The refusal tests below write out the AND chains of ``above``: the same
+    # ANDs in the same order, the same stops, and the guard tested after
+    # each chain.  With a call of ``above`` per chain the searches of the
+    # benchmark's finite instances took about a third longer (CPython 3.11).
+
     def tangle_refused(self, C: int, o: int) -> bool:
         """o covers the graph alone or with one or two members of the chosen
         bitset C.  This implies consistency, since inv(x) <= y makes
         A_x | A_y contain A_x | B_x = V."""
-        a, above = self.a, self.above
+        a, holders, guard = self.a, self.holders, self.guard
         miss = self.full ^ a[o]
+        if not miss:
+            return True
         # a member c of a covering pair or triple holds the lowest bit o
         # misses; the pair is the triple (o, c, c)
-        return not miss or any(above(miss & ~a[c], C) for c in bit_ids(above(miss & -miss, C)))
+        spent = self.spent + (C > 0)
+        if spent > guard:
+            raise ResourceGuardError("orientation search exceeded guard")
+        for c in bit_ids(C & holders[(miss & -miss).bit_length() - 1]):
+            m, W = miss & ~a[c], C
+            while m and W:
+                low = m & -m
+                W &= holders[low.bit_length() - 1]
+                m ^= low
+                spent += 1
+            if spent > guard:
+                raise ResourceGuardError("orientation search exceeded guard")
+            if W:
+                self.spent = spent
+                return True
+        self.spent = spent
+        return False
 
     def star_refused(self, C: int, o: int) -> bool:
         """o is inconsistent with a member of the chosen bitset C, or covers the
         graph alone or with one or two members that pairwise point towards each
         other and o."""
-        a, above = self.a, self.above
+        a, holders, guard = self.a, self.holders, self.guard
         tow, inc = self.rows
         miss, S = self.full ^ a[o], tow[o] & C
         self.spent += 2  # the rows of o ANDed with C
-        if inc[o] & C or not miss or above(miss, S):
+        if inc[o] & C or not miss:
             return True
-        for c in bit_ids(above(miss & -miss, S)):
-            self.spent += 1  # S & tow[c]
-            if above(miss & ~a[c], S & tow[c]):
+        spent, m, W = self.spent, miss, S
+        while m and W:
+            low = m & -m
+            W &= holders[low.bit_length() - 1]
+            m ^= low
+            spent += 1
+        if spent > guard:
+            raise ResourceGuardError("orientation search exceeded guard")
+        if W:
+            self.spent = spent
+            return True
+        spent += S > 0
+        if spent > guard:
+            raise ResourceGuardError("orientation search exceeded guard")
+        for c in bit_ids(S & holders[(miss & -miss).bit_length() - 1]):
+            spent += 1  # S & tow[c]
+            m, W = miss & ~a[c], S & tow[c]
+            while m and W:
+                low = m & -m
+                W &= holders[low.bit_length() - 1]
+                m ^= low
+                spent += 1
+            if spent > guard:
+                raise ResourceGuardError("orientation search exceeded guard")
+            if W:
+                self.spent = spent
                 return True
+        self.spent = spent
         return False
 
     def search(self, star_only: bool, guard: int = DEFAULT_GUARD):
@@ -227,7 +343,7 @@ def enumerate_tangles(g, k: int, guard: int = DEFAULT_GUARD) -> list[frozenset]:
 
 
 def count_tangles(g, k: int, guard: int = DEFAULT_GUARD) -> int:
-    return len(enumerate_tangles(g, k, guard))
+    return sum(1 for _ in _Search(g, k).search(star_only=False, guard=guard))
 
 
 def enumerate_tangles_by_scan(g, k: int, limit: int = 12) -> list[frozenset]:

@@ -151,7 +151,7 @@ def test_k5_subdivision_direct_edges():
     k5 = complete_graph(5)
     cert = build_clique_subdivision(k5, k5.vertices)
     assert cert["ok"]
-    assert all(len(p) == 2 for p in cert["paths"].values())
+    assert all(len(p) == 2 for _, _, p in cert["paths"])
     assert verify_subdivision(k5, k5.vertices, cert)
 
 
@@ -175,19 +175,23 @@ def test_two_vertices_behind_a_cutvertex_fail_precondition():
 def test_verify_rejects_corrupted_certificates():
     k5 = complete_graph(5)
     cert = build_clique_subdivision(k5, k5.vertices)
-    bad = {"ok": True, "paths": dict(cert["paths"])}
-    key = sorted(bad["paths"])[0]
-    bad["paths"][key] = bad["paths"][key] + [bad["paths"][key][-1]]
+    x, y, path = cert["paths"][0]
+    bad = {"ok": True, "paths": [[x, y, path + [path[-1]]]] + cert["paths"][1:]}
     assert not verify_subdivision(k5, k5.vertices, bad)
     # forgeries that leave a branch pair unjoined: a-b twice and no b-c
-    # path, or a path between two vertices outside the branch set
+    # path, a path between two vertices outside the branch set, or an a-b
+    # entry whose path joins a and c
     k3 = complete_graph(3)
     a, b, c = sorted(k3.vertices)
-    twice = {"ok": True, "paths": {f"{a}--{b}": [a, b], f"{b}--{a}": [b, a], f"{a}--{c}": [a, c]}}
+    twice = {"ok": True, "paths": [[a, b, [a, b]], [b, a, [b, a]], [a, c, [a, c]]]}
     assert not verify_subdivision(k3, k3.vertices, twice)
     g = from_edges([*k3.edges, ("x", "y")])
-    outside = {"ok": True, "paths": {f"{a}--{b}": [a, b], f"{a}--{c}": [a, c], "x--y": ["x", "y"]}}
+    outside = {"ok": True, "paths": [[a, b, [a, b]], [a, c, [a, c]], ["x", "y", ["x", "y"]]]}
     assert not verify_subdivision(g, k3.vertices, outside)
+    mislabelled = {"ok": True, "paths": [[a, b, [a, c]], [a, c, [a, c]], [b, c, [b, c]]]}
+    assert not verify_subdivision(k3, k3.vertices, mislabelled)
+    honest = {"ok": True, "paths": [[a, b, [a, b]], [a, c, [a, c]], [b, c, [b, c]]]}
+    assert verify_subdivision(k3, k3.vertices, honest)
 
 
 def test_random_dense_instances(rng):

@@ -130,11 +130,18 @@ def test_blocks_and_tk(capsys, k4_file, tmp_path):
     assert json.loads(out)["infinite_blocks"][0]["clique"] == "K"
     code, out = run(capsys, "tk", k4_file, "--set", "k0,k1,k2,k3", "--json")
     assert code == 0 and json.loads(out)["ok"]
-    # a vertex id may contain the `--` that joins a path's key
+    # a vertex id may contain `--`; each entry names its pair, then its path
     dash = tmp_path / "dash.g"
     dash.write_text(render_finite(from_edges([("p--q", "r"), ("r", "s"), ("s", "p--q")])))
     code, out = run(capsys, "tk", str(dash), "--set", "p--q,r,s", "--json")
-    assert code == 0 and json.loads(out)["ok"]
+    report = json.loads(out)
+    assert code == 0 and report["ok"]
+    assert report["paths"] == [
+        ["p--q", "r", ["p--q", "r"]], ["p--q", "s", ["p--q", "s"]], ["r", "s", ["r", "s"]],
+    ]
+    # the plain report indents each path below its pair
+    code, out = run(capsys, "tk", str(dash), "--set", "p--q,r,s")
+    assert "paths:\n  - p--q\n  - r\n    - p--q\n    - r\n\n  - p--q\n  - s\n" in out
 
 
 def test_commands_load_neither_networkx_nor_numpy(k4_file):

@@ -1,9 +1,12 @@
+import hashlib
 import os
 import subprocess
 import sys
 from itertools import combinations
 
 import pytest
+from finite_reference import side_masks
+from finite_reference import separations_below_order as reference_separations
 
 from tangles.finite_tangles import (
     ResourceGuardError,
@@ -16,7 +19,9 @@ from tangles.finite_tangles import (
     enumerate_tangles_by_scan,
     separations_below_order,
 )
-from tangles.graphs import complete_graph, cycle_graph, from_edges, grid_graph, path_graph
+from tangles.graphs import (
+    FiniteGraph, bit_ids, complete_graph, cycle_graph, from_edges, grid_graph, path_graph,
+)
 
 
 def test_separation_enumeration_k2():
@@ -154,6 +159,9 @@ def test_resource_guard():
     star = from_edges([("c", f"l{i}") for i in range(12)])
     with pytest.raises(ResourceGuardError):
         count_tangles(star, 2, guard=10**5)
+    # 21 components behind the centre of K1,21 would need 2**20 bipartitions
+    with pytest.raises(ResourceGuardError):
+        separations_below_order(from_edges([("c", f"l{i}") for i in range(21)]), 2)
 
 
 def test_star_check_resource_guard():
@@ -189,6 +197,7 @@ def _petersen():
         (_petersen(), 3),
         (from_edges([("c", f"l{i}") for i in range(4)]), 2),
         (grid_graph(3, 3), 3),
+        (path_graph(3), 4),  # (V, V) is its own inverse
     ],
 )
 def test_relation_rows_match_pairwise_tests(g, k):
@@ -204,6 +213,98 @@ def test_relation_rows_match_pairwise_tests(g, k):
             assert (inc[x] >> y & 1) == (Bx <= Ay and By <= Ax)
         m = s.full ^ s.a[x]
         assert s.above(m, every) == sum(1 << y for y in ids if m & ~s.a[y] == 0)
+
+
+def _random_graph(rng):
+    # names drawn at random, so their sorted order is not the order of
+    # creation; sparse draws leave some graphs disconnected
+    n = rng.randint(1, 8)
+    names = [f"x{i}" for i in rng.sample(range(1000), n)]
+    p = rng.choice((0.2, 0.4, 0.7))
+    edges = {(u, v) if u < v else (v, u) for u, v in combinations(names, 2) if rng.random() < p}
+    return FiniteGraph(frozenset(names), frozenset(edges))
+
+
+def test_separation_masks_match_the_reference(rng):
+    empty = FiniteGraph(frozenset(), frozenset())
+    cases = [(g, k) for g in connected_graphs_up_to(6) for k in range(1, 7)]  # k > n: A == B
+    cases += [
+        (grid_graph(3, 4), 3), (grid_graph(4, 4), 3), (grid_graph(4, 5), 3),
+        (_petersen(), 4), (complete_graph(6), 4), (cycle_graph(8), 3), (empty, 1), (empty, 2),
+    ]
+    cases += [(_random_graph(rng), rng.randint(1, 4)) for _ in range(60)]
+    for g, k in cases:
+        want = reference_separations(g, k)
+        assert separations_below_order(g, k) == want
+        s = _Search(g, k)
+        assert len(s.seps) == len(want)
+        assert s.a == side_masks(g, want)
+        assert s.to_pairs(range(len(s.a))) == {(A, B) for p in want for A, B in [p, p[::-1]]}
+
+
+def test_atlas_digest_is_pinned():
+    # the 143 connected graphs up to 6 vertices at k = 1..4: each search's
+    # tangles in the order found, sides sorted; count_tangles against them;
+    # and the star check's orientations and verdict
+    h = hashlib.md5()
+    for g in connected_graphs_up_to(6):
+        for k in (1, 2, 3, 4):
+            found = enumerate_tangles(g, k)
+            rep = check_star_reduction(g, k)
+            record = (
+                g.digest(), k,
+                [sorted((sorted(A), sorted(B)) for A, B in t) for t in found],
+                count_tangles(g, k) == len(found),
+                rep["orientations_checked"], rep["ok"],
+            )
+            h.update(repr(record).encode())
+    assert h.hexdigest() == "6e9471b61c83c9ab1897e5f76440881c"
+
+
+class _Chained(_Search):
+    """The refusal tests as calls of ``above``: the reference for the AND
+    chains the searches write out."""
+
+    def tangle_refused(self, C, o):
+        a, above = self.a, self.above
+        miss = self.full ^ a[o]
+        return not miss or any(above(miss & ~a[c], C) for c in bit_ids(above(miss & -miss, C)))
+
+    def star_refused(self, C, o):
+        a, above = self.a, self.above
+        tow, inc = self.rows
+        miss, S = self.full ^ a[o], tow[o] & C
+        self.spent += 2
+        if inc[o] & C or not miss or above(miss, S):
+            return True
+        for c in bit_ids(above(miss & -miss, S)):
+            self.spent += 1
+            if above(miss & ~a[c], S & tow[c]):
+                return True
+        return False
+
+
+def _until_guard(s, star_only, guard):
+    """The orientations a search yields, and its spend, or None for the
+    spend when the guard trips."""
+    found = []
+    try:
+        for chosen in s.search(star_only, guard):
+            found.append(chosen)
+    except ResourceGuardError:
+        return found, None
+    return found, s.spent
+
+
+@pytest.mark.parametrize("star_only", [False, True])
+def test_inline_chains_spend_as_above_does(star_only):
+    for g, k in [(grid_graph(4, 4), 3), (_petersen(), 4), (complete_graph(6), 4), (path_graph(3), 4)]:
+        want = _until_guard(_Chained(g, k), star_only, 2**23)
+        assert _until_guard(_Search(g, k), star_only, 2**23) == want
+        # the guard trips after the same chain
+        for guard in (want[1] - 1, want[1] // 3, 5):
+            got = _until_guard(_Search(g, k), star_only, guard)
+            assert got == _until_guard(_Chained(g, k), star_only, guard)
 
 
 def test_star_test_refuses_exactly_covering_stars():
