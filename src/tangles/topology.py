@@ -12,9 +12,10 @@ kernel (the intersection of all its members' far sides) is infinite.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .components import ComponentSelection, components, core_components
+from .components import QUOTIENT_CAP, ComponentSelection, components, core_components
 from .infinite_tangles import (
     Tangle,
     end_component,
@@ -23,8 +24,8 @@ from .infinite_tangles import (
     limit_from,
     tangle_from_limit,
 )
-from .schema import SchemaGraph, Vertex, level_text, parse_level, vertex_text
-from .semilinear import SemilinearSet
+from .schema import SchemaGraph, Vertex, level_text, parse_level, vertex_sort_key, vertex_text
+from .semilinear import ResourceGuardError, SemilinearSet
 from .separations import OrientedSeparation, from_bipartition
 from .symsets import SymVertexSet, union_all
 from .ultrafilters import LazyCore, UltrafilterHandle, principal_at
@@ -171,28 +172,18 @@ def kernel_orientation_agrees(tangle: Tangle, sep: OrientedSeparation) -> bool:
     return in_tangle(tangle, sep) == k.issubset(sep.side_B)
 
 
-def level_cut(tangle: Tangle, n: int) -> frozenset[Vertex]:
-    """A finite set separating everything of depth < n from the end."""
-    end = tangle.end
-    cut = set(kernel(tangle).to_explicit())  # finite for non-clique ends
+def level_member(tangle: Tangle, n: int, k: SymVertexSet) -> OrientedSeparation:
+    """The member of an end tangle with finite kernel ``k`` that cuts the end
+    off at depth n: separator k plus the end's depth-n vertices, with the
+    end's component on the far side."""
+    schema, end = tangle.schema, tangle.end
+    cut = set(k.to_explicit())
     if end.kind == "rays":
         cut |= {("ray", r, n) for r in end.names}
     else:
         cut.add(("fam", end.names[0], end.index, n))
-    return frozenset(cut)
-
-
-def member_avoiding(tangle: Tangle, z: Vertex, n: int) -> OrientedSeparation:
-    """A member of the end tangle with z strictly on the near side."""
-    schema = tangle.schema
-    cut = level_cut(tangle, n)
-    if z in cut:
-        raise ValueError("vertex sits on the cut")
     cs = components(schema, cut)
-    sep = from_bipartition(schema, cut, cs.only(end_component(tangle.end, cs)))
-    if z in sep.side_B:
-        raise AssertionError("cut failed to strip the vertex from the end side")
-    return sep
+    return from_bipartition(schema, cut, cs.only(end_component(end, cs)))
 
 
 def closure_probe(tangle: Tangle, sep: OrientedSeparation, schedule) -> dict:
@@ -201,9 +192,11 @@ def closure_probe(tangle: Tangle, sep: OrientedSeparation, schedule) -> dict:
     For each probe set Z, try the two canonical constructions of a
     tangle member agreeing with ``sep`` on Z: moving the near-side
     components that avoid Z across, and (when the kernel K is finite and
-    ``sep`` traces like (V, K)) joining per-vertex members below K.  If a
-    kernel vertex of a closed tangle sits strictly on the near side
-    within Z, no agreeing member exists at all.
+    ``sep`` traces like (V, K)) the member that cuts the end off below Z
+    around K.  If a kernel vertex of a closed tangle sits strictly on the
+    near side within Z, no agreeing member exists at all; the least such
+    vertex is named.  A level of more than ``QUOTIENT_CAP`` vertices
+    raises ``ResourceGuardError``; levels are read one at a time.
     """
     if in_tangle(tangle, sep):
         raise ValueError("probe expects a non-member separation")
@@ -212,19 +205,23 @@ def closure_probe(tangle: Tangle, sep: OrientedSeparation, schedule) -> dict:
     evidence = []
     for Z in schedule:
         Z = schema.check_vertices(Z)
+        if len(Z) > QUOTIENT_CAP:
+            raise ResourceGuardError(
+                f"probe level of {len(Z)} vertices exceeds the cap of {QUOTIENT_CAP}"
+            )
         blocked = [
             z for z in Z if z in k and z in sep.side_A and z not in sep.side_B
         ]
-        if blocked and is_closed(tangle):
+        if blocked and k.is_infinite:
             evidence.append(
                 {
                     "Z": sorted(map(vertex_text, Z)),
                     "result": "no_agreeing_member",
-                    "kernel_vertex": vertex_text(blocked[0]),
+                    "kernel_vertex": vertex_text(min(blocked, key=vertex_sort_key)),
                 }
             )
             continue
-        member = _agreeing_member(tangle, sep, Z)
+        member = _agreeing_member(tangle, sep, Z, k)
         if member is not None:
             evidence.append(
                 {
@@ -247,18 +244,15 @@ def closure_probe(tangle: Tangle, sep: OrientedSeparation, schedule) -> dict:
     }
 
 
-def _agreeing_member(tangle, sep, Z) -> OrientedSeparation | None:
-    for builder in (_component_move, _kernel_join_move):
-        try:
-            cand = builder(tangle, sep, Z)
-        except ValueError:  # NotRepresentable among others
-            cand = None
+def _agreeing_member(tangle, sep, Z, k) -> OrientedSeparation | None:
+    for builder in (_component_move, _kernel_move):
+        cand = builder(tangle, sep, Z, k)
         if cand is not None and in_tangle(tangle, cand) and agree_on(sep, cand, Z):
             return cand
     return None
 
 
-def _component_move(tangle, sep, Z) -> OrientedSeparation | None:
+def _component_move(tangle, sep, Z, k) -> OrientedSeparation | None:
     """Push every near-side component that avoids Z across to the far side."""
     cs = sep.toB.cs
     near = sep.toB.complement()
@@ -278,25 +272,25 @@ def _component_move(tangle, sep, Z) -> OrientedSeparation | None:
     return from_bipartition(tangle.schema, sep.X, sep.toB | moved)
 
 
-def _kernel_join_move(tangle, sep, Z) -> OrientedSeparation | None:
-    """Join members avoiding each probe vertex below a finite kernel."""
-    if tangle.kind != "end":
-        return None
-    k = kernel(tangle)
-    if not k.is_finite:
+def _kernel_move(tangle, sep, Z, k) -> OrientedSeparation | None:
+    """For ``sep`` tracing like (V, K) on Z with a finite kernel K: the member
+    (K, V) when Z lies in K, else the level member at depth two past Z's
+    deepest vertex, which must put every probe vertex outside K strictly on
+    its near side.  (Joining (K, V) with that member once per probe vertex
+    gives the member itself, since K lies in its separator.)"""
+    if tangle.kind != "end" or not k.is_finite:
         return None
     if sep.restrict(Z) != (frozenset(Z), frozenset(z for z in Z if z in k)):
         return None
     schema = tangle.schema
-    kx = frozenset(k.to_explicit())
-    n = 2 + max([schema.depth(z) for z in Z] + [0])
-    cs0 = components(schema, kx)
-    join = from_bipartition(schema, kx, cs0.select_all())  # the member (K, V)
-    for z in Z:
-        if z in kx:
-            continue
-        join = join.corner_join(member_avoiding(tangle, z, n))
-    return join
+    outside = [z for z in Z if z not in k]
+    if not outside:
+        kx = frozenset(k.to_explicit())
+        return from_bipartition(schema, kx, components(schema, kx).select_all())
+    member = level_member(tangle, 2 + max(schema.depth(z) for z in Z), k)
+    if any(z in member.side_B for z in outside):
+        raise AssertionError("cut failed to strip the vertex from the end side")
+    return member
 
 
 def nonclosed_witness_separation(tangle: Tangle) -> OrientedSeparation:
@@ -312,5 +306,6 @@ def nonclosed_witness_separation(tangle: Tangle) -> OrientedSeparation:
     return from_bipartition(schema, kx, cs.select_none())  # (V, K)
 
 
-def default_schedule(schema: SchemaGraph, levels: int = 5) -> list[frozenset]:
-    return [frozenset(schema.vertices_below(m + 1)) for m in range(levels)]
+def default_schedule(schema: SchemaGraph, levels: int = 5) -> Iterator[frozenset]:
+    """The depth-1, ..., depth-``levels`` truncations' vertex sets, built lazily."""
+    return (frozenset(schema.vertices_below(m + 1)) for m in range(levels))

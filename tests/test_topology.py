@@ -1,6 +1,12 @@
+import os
+import random
+import subprocess
+import sys
+
 import networkx as nx
 import pytest
 from nx_reference import to_networkx
+from topology_reference import kernel_join
 
 from tangles.blocks import infinite_blocks
 from tangles.components import components
@@ -15,7 +21,8 @@ from tangles.infinite_tangles import (
 )
 from tangles.sampling import random_separation
 from tangles.schema import parse_schema, vertex_text
-from tangles.semilinear import SemilinearSet
+from tangles.builtin import load
+from tangles.semilinear import ResourceGuardError, SemilinearSet
 from tangles.separations import from_bipartition
 from tangles.topology import (
     agree_on,
@@ -26,7 +33,7 @@ from tangles.topology import (
     is_closed,
     kernel,
     kernel_orientation_agrees,
-    member_avoiding,
+    level_member,
     nonclosed_witness_separation,
     parse_basic_open,
 )
@@ -106,7 +113,7 @@ def test_agree_on(schemas):
     ray = schemas["ray"]
     t = end_tangle(ray, end_catalogue(ray).singles[0])
     s = nonclosed_witness_separation(t)  # (V, empty)
-    m = member_avoiding(t, ("ray", "R", 1), 4)
+    m = level_member(t, 4, kernel(t))
     Z = [("ray", "R", 0), ("ray", "R", 1)]
     assert agree_on(s, m, Z)
     assert not agree_on(s, m, [("ray", "R", 5)])
@@ -141,7 +148,7 @@ def test_kernel_matches_membership_definition(schemas, rng):
                 for v in schema.vertices_below(3):
                     if v in k:
                         continue
-                    m = member_avoiding(t, v, 6)
+                    m = level_member(t, 6, k)
                     assert in_tangle(t, m)
                     assert v in m.side_A and v not in m.side_B
 
@@ -214,13 +221,15 @@ def test_end_limit_point_evidence(schemas):
 def test_closure_probe_surfaces_internal_failures(schemas, monkeypatch):
     import tangles.topology as top
 
-    def broken(tangle, sep, Z):
-        raise AssertionError("cut failed")
-
-    monkeypatch.setattr(top, "_component_move", broken)
     t = uf_tangle(schemas["star"])
-    with pytest.raises(AssertionError, match="cut failed"):
-        closure_probe(t, nonclosed_witness_separation(t), default_schedule(schemas["star"], 2))
+    for error in (AssertionError, ValueError):
+
+        def broken(*_):
+            raise error("cut failed")
+
+        monkeypatch.setattr(top, "_component_move", broken)
+        with pytest.raises(error, match="cut failed"):
+            closure_probe(t, nonclosed_witness_separation(t), default_schedule(schemas["star"], 2))
 
 
 def test_ray_evidence_is_the_shifted_prefix(schemas):
@@ -264,3 +273,77 @@ def test_closure_probe_rejects_members(schemas):
     member = from_bipartition(ray, frozenset(), cs.select_all())
     with pytest.raises(ValueError):
         closure_probe(t, member, [frozenset()])
+
+
+def test_kernel_move_is_the_corner_join_fold(schemas):
+    from tangles.topology import _kernel_move
+
+    rng = random.Random(20)
+    ends = 0
+    for schema in list(schemas.values()) + [parse_schema(WITH_TWO_CLIQUES)]:
+        for t in suite_tangles(schema):
+            k = kernel(t)
+            if t.kind != "end" or not k.is_finite:
+                continue
+            ends += 1
+            s = nonclosed_witness_separation(t)  # (V, K): traces like (V, K) on every Z
+            verts = schema.vertices_below(6)
+            probes = list(default_schedule(schema, 6)) + [frozenset(k.to_explicit())]
+            probes += [frozenset(rng.sample(verts, rng.randint(0, min(8, len(verts))))) for _ in range(30)]
+            for Z in probes:
+                assert _kernel_move(t, s, Z, k) == kernel_join(t, Z), (t.id(), sorted(Z))
+    assert ends == 9
+
+
+def _cliq_probe(Xs, Zs):
+    cliq = load("cliq")
+    t = end_tangle(cliq, end_catalogue(cliq).singles[0])
+    X = frozenset(("cliq", "K", i) for i in Xs)
+    s = from_bipartition(cliq, X, components(cliq, X).select_none())
+    return closure_probe(t, s, [frozenset(("cliq", "K", i) for i in Z) for Z in Zs])
+
+
+def test_closed_tangle_certificate_names_the_least_blocked_vertex():
+    # every kernel vertex of Z outside X is blocked; the least by vertex_sort_key is named
+    rep = _cliq_probe([1], [(0, 2, 3), (3, 2, 1), (2, 3, 10), (1, 4, 7, 5)])
+    assert [e["kernel_vertex"] for e in rep["evidence"]] == [
+        "cliq:K:0", "cliq:K:2", "cliq:K:10", "cliq:K:4",
+    ]
+    rep = _cliq_probe([0, 2], [(0, 9, 2, 6), (8, 0, 7)])
+    assert [e["kernel_vertex"] for e in rep["evidence"]] == ["cliq:K:6", "cliq:K:7"]
+
+
+def test_closed_tangle_certificate_ignores_the_hash_seed():
+    code = (
+        "import json, test_topology as tt; "
+        "print(json.dumps(tt._cliq_probe([1], [(0, 2, 3)]), sort_keys=True))"
+    )
+    tests_dir = os.path.dirname(__file__)
+    outs = []
+    for seed in ("0", "1"):  # blocked[0] named cliq:K:0 and cliq:K:2 under these
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=os.environ | {
+                "PYTHONHASHSEED": seed,
+                "PYTHONPATH": os.pathsep.join([tests_dir] + sys.path),
+            },
+            check=True,
+        )
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert '"kernel_vertex": "cliq:K:0"' in outs[0]
+
+
+def test_default_schedule_is_lazy(schemas):
+    schedule = default_schedule(schemas["spider"], 10**9)
+    assert next(schedule) == frozenset(schemas["spider"].vertices_below(1))
+
+
+def test_closure_probe_caps_the_level_size(schemas):
+    spider = schemas["spider"]
+    t = end_tangle(spider, leg_end(spider, "L", 0))
+    s = nonclosed_witness_separation(t)
+    with pytest.raises(ResourceGuardError, match="probe level"):
+        closure_probe(t, s, [frozenset(spider.vertices_below(130))])
