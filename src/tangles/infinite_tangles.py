@@ -102,8 +102,12 @@ def end_catalogue(schema: SchemaGraph) -> EndCatalogue:
 
 
 def leg_end(schema: SchemaGraph, family: str, index: int) -> End:
-    if not schema.family_spec(family).is_ray_family:
-        raise ValueError(f"{family} is not a ray family")
+    ray_families = [f.name for f in schema.families if f.is_ray_family]
+    if family not in ray_families:
+        raise ValueError(
+            f"family {family!r} is not a ray family; ray families: "
+            + (", ".join(ray_families) or "none")
+        )
     if index < 0:
         raise ValueError(f"leg index {index} is negative")
     return End("leg", (family,), index)

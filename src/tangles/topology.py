@@ -144,10 +144,6 @@ def _leftover_tangle(schema, level, fine, leftover) -> Tangle:
 # -- the separation space -----------------------------------------------------
 
 
-def agree_on(s: OrientedSeparation, t: OrientedSeparation, Z) -> bool:
-    return s.restrict(Z) == t.restrict(Z)
-
-
 def kernel(tangle: Tangle) -> SymVertexSet:
     """Vertices on the far side of every member of the tangle.
 
@@ -189,70 +185,70 @@ def level_member(tangle: Tangle, n: int, k: SymVertexSet) -> OrientedSeparation:
 def closure_probe(tangle: Tangle, sep: OrientedSeparation, schedule) -> dict:
     """Limit-point evidence for a non-member separation.
 
-    For each probe set Z, try the two canonical constructions of a
-    tangle member agreeing with ``sep`` on Z: moving the near-side
-    components that avoid Z across, and (when the kernel K is finite and
-    ``sep`` traces like (V, K)) the member that cuts the end off below Z
-    around K.  If a kernel vertex of a closed tangle sits strictly on the
-    near side within Z, no agreeing member exists at all; the least such
-    vertex is named.  A level of more than ``QUOTIENT_CAP`` vertices
-    raises ``ResourceGuardError``; levels are read one at a time.
+    Each probe set Z is read once, for ``sep``'s trace (A n Z, B n Z) and
+    Z's kernel vertices, and gets one evidence entry whose ``result`` is:
+
+    - ``agreeing_member``: a canonical move gave a tangle member with the
+      same trace, printed as ``member``.  One move pushes the near-side
+      components that avoid Z across; the other (finite kernel K, ``sep``
+      tracing like (V, K)) cuts the end off below Z around K.
+    - ``no_agreeing_member``: a kernel vertex of a closed tangle lies
+      strictly on the near side within Z, so no member agrees; the least
+      such vertex is named as ``kernel_vertex``.
+    - ``no_canonical_move``: no move applies, or its member traces
+      differently on Z.
+
+    Levels are read one at a time; one of more than ``QUOTIENT_CAP``
+    vertices raises ``ResourceGuardError``.
     """
     if in_tangle(tangle, sep):
         raise ValueError("probe expects a non-member separation")
-    schema = tangle.schema
     k = kernel(tangle)
     evidence = []
     for Z in schedule:
-        Z = schema.check_vertices(Z)
+        Z = frozenset(Z)
         if len(Z) > QUOTIENT_CAP:
             raise ResourceGuardError(
                 f"probe level of {len(Z)} vertices exceeds the cap of {QUOTIENT_CAP}"
             )
-        blocked = [
-            z for z in Z if z in k and z in sep.side_A and z not in sep.side_B
-        ]
+        trace = sep.restrict(Z)
+        kz = frozenset(z for z in Z if z in k)
+        entry = {"Z": sorted(map(vertex_text, Z))}
+        blocked = (trace[0] - trace[1]) & kz
         if blocked and k.is_infinite:
-            evidence.append(
-                {
-                    "Z": sorted(map(vertex_text, Z)),
-                    "result": "no_agreeing_member",
-                    "kernel_vertex": vertex_text(min(blocked, key=vertex_sort_key)),
-                }
-            )
-            continue
-        member = _agreeing_member(tangle, sep, Z, k)
-        if member is not None:
-            evidence.append(
-                {
-                    "Z": sorted(map(vertex_text, Z)),
-                    "result": "agreeing_member",
-                    "member": member.text(),
-                }
-            )
+            entry |= {
+                "result": "no_agreeing_member",
+                "kernel_vertex": vertex_text(min(blocked, key=vertex_sort_key)),
+            }
+        elif (member := _agreeing_member(tangle, sep, Z, trace, k, kz)) is not None:
+            entry |= {"result": "agreeing_member", "member": member.text()}
         else:
-            evidence.append(
-                {"Z": sorted(map(vertex_text, Z)), "result": "no_canonical_move"}
-            )
-    found = [e for e in evidence if e["result"] == "agreeing_member"]
+            entry["result"] = "no_canonical_move"
+        evidence.append(entry)
     return {
         "tangle": tangle.id(),
         "separation": sep.text(),
         "levels": len(evidence),
-        "limit_point_evidence": bool(evidence) and len(found) == len(evidence),
+        "limit_point_evidence": bool(evidence)
+        and all(e["result"] == "agreeing_member" for e in evidence),
         "evidence": evidence,
     }
 
 
-def _agreeing_member(tangle, sep, Z, k) -> OrientedSeparation | None:
-    for builder in (_component_move, _kernel_move):
-        cand = builder(tangle, sep, Z, k)
-        if cand is not None and in_tangle(tangle, cand) and agree_on(sep, cand, Z):
+def _agreeing_member(tangle, sep, Z, trace, k, kz) -> OrientedSeparation | None:
+    """The first canonical move that is a tangle member tracing like ``sep`` on Z."""
+    moves = (
+        lambda: _component_move(tangle, sep, Z),
+        lambda: _kernel_move(tangle, Z, trace, k, kz),
+    )
+    for move in moves:
+        cand = move()
+        if cand is not None and in_tangle(tangle, cand) and cand.restrict(Z) == trace:
             return cand
     return None
 
 
-def _component_move(tangle, sep, Z, k) -> OrientedSeparation | None:
+def _component_move(tangle, sep, Z) -> OrientedSeparation | None:
     """Push every near-side component that avoids Z across to the far side."""
     cs = sep.toB.cs
     near = sep.toB.complement()
@@ -272,25 +268,20 @@ def _component_move(tangle, sep, Z, k) -> OrientedSeparation | None:
     return from_bipartition(tangle.schema, sep.X, sep.toB | moved)
 
 
-def _kernel_move(tangle, sep, Z, k) -> OrientedSeparation | None:
-    """For ``sep`` tracing like (V, K) on Z with a finite kernel K: the member
-    (K, V) when Z lies in K, else the level member at depth two past Z's
-    deepest vertex, which must put every probe vertex outside K strictly on
-    its near side.  (Joining (K, V) with that member once per probe vertex
-    gives the member itself, since K lies in its separator.)"""
-    if tangle.kind != "end" or not k.is_finite:
-        return None
-    if sep.restrict(Z) != (frozenset(Z), frozenset(z for z in Z if z in k)):
+def _kernel_move(tangle, Z, trace, k, kz) -> OrientedSeparation | None:
+    """For a ``trace`` of (Z, K n Z) with a finite kernel K: the member (K, V)
+    when Z lies in K, else the level member at depth two past Z's deepest
+    vertex, which puts every probe vertex outside K strictly on its near
+    side (a member that does not fails the caller's trace comparison).
+    (Joining (K, V) with that member once per probe vertex gives the
+    member itself, since K lies in its separator.)"""
+    if tangle.kind != "end" or not k.is_finite or trace != (Z, kz):
         return None
     schema = tangle.schema
-    outside = [z for z in Z if z not in k]
-    if not outside:
+    if kz == Z:
         kx = frozenset(k.to_explicit())
         return from_bipartition(schema, kx, components(schema, kx).select_all())
-    member = level_member(tangle, 2 + max(schema.depth(z) for z in Z), k)
-    if any(z in member.side_B for z in outside):
-        raise AssertionError("cut failed to strip the vertex from the end side")
-    return member
+    return level_member(tangle, 2 + max(schema.depth(z) for z in Z), k)
 
 
 def nonclosed_witness_separation(tangle: Tangle) -> OrientedSeparation:

@@ -272,6 +272,16 @@ def test_uf_tangle_on_a_family_without_one(capsys):
     assert "family 'T' carries no ultrafilter tangle; families that carry one: none" in err
 
 
+def test_leg_of_an_unknown_family(capsys):
+    assert main(["closed", "builtin:spider", "--tangle", "end:Q:0"]) == 2
+    assert "family 'Q' is not a ray family; ray families: L" in capsys.readouterr().err
+    sep = "sep X={core:c} B={L{0}}"
+    assert main(["orient", "builtin:spider", "--tangle", "end:Q:0", "--sep", sep]) == 2
+    assert "family 'Q' is not a ray family; ray families: L" in capsys.readouterr().err
+    assert main(["closed", "builtin:star", "--tangle", "end:L:0"]) == 2
+    assert "family 'L' is not a ray family; ray families: none" in capsys.readouterr().err
+
+
 def test_uf_default_family_follows_schema_order(capsys, tmp_path):
     from tangles.infinite_tangles import uf_tangle
     from tangles.schema import parse_schema

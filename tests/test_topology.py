@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -19,13 +21,12 @@ from tangles.infinite_tangles import (
     suite_tangles,
     uf_tangle,
 )
-from tangles.sampling import random_separation
+from tangles.sampling import random_level, random_separation
 from tangles.schema import parse_schema, vertex_text
-from tangles.builtin import load
+from tangles.builtin import builtin_names, load
 from tangles.semilinear import ResourceGuardError, SemilinearSet
 from tangles.separations import from_bipartition
 from tangles.topology import (
-    agree_on,
     basic_open,
     closure_probe,
     default_schedule,
@@ -115,8 +116,8 @@ def test_agree_on(schemas):
     s = nonclosed_witness_separation(t)  # (V, empty)
     m = level_member(t, 4, kernel(t))
     Z = [("ray", "R", 0), ("ray", "R", 1)]
-    assert agree_on(s, m, Z)
-    assert not agree_on(s, m, [("ray", "R", 5)])
+    assert s.restrict(Z) == m.restrict(Z)
+    assert s.restrict([("ray", "R", 5)]) != m.restrict([("ray", "R", 5)])
 
 
 def test_kernel_values(schemas):
@@ -232,6 +233,67 @@ def test_closure_probe_surfaces_internal_failures(schemas, monkeypatch):
             closure_probe(t, nonclosed_witness_separation(t), default_schedule(schemas["star"], 2))
 
 
+def test_kernel_move_that_keeps_a_probe_vertex_is_no_canonical_move(schemas, monkeypatch):
+    import tangles.topology as top
+
+    ray = schemas["ray"]
+    t = end_tangle(ray, end_catalogue(ray).singles[0])
+    s = nonclosed_witness_separation(t)  # (V, empty)
+    original = top.level_member
+    # cutting at depth 1 leaves ray:R:2 and ray:R:3 on the end's side
+    monkeypatch.setattr(top, "level_member", lambda tangle, n, k: original(tangle, 1, k))
+    rep = closure_probe(t, s, [frozenset({("ray", "R", p) for p in range(4)})])
+    (entry,) = rep["evidence"]
+    assert entry["result"] == "no_canonical_move"
+    assert rep["limit_point_evidence"] is False
+
+
+def _probe_digest(reports) -> str:
+    h = hashlib.md5()
+    for rep in reports:
+        h.update(json.dumps(rep, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def test_witness_probe_reports_are_pinned():
+    # every non-closed suite tangle of every builtin against its canonical
+    # non-member, over the default schedules of 1, 3, 5 and 8 levels; the
+    # non-member is taken afresh each time, since a lazy ultrafilter
+    # tangle's commitments move its witness
+    reports = []
+    for name in builtin_names():
+        schema = load(name)
+        for t in suite_tangles(schema):
+            if is_closed(t):
+                continue
+            for levels in (1, 3, 5, 8):
+                s = nonclosed_witness_separation(t)
+                reports.append(closure_probe(t, s, default_schedule(schema, levels)))
+    assert len(reports) == 52
+    assert _probe_digest(reports) == "01edd3af6ac7afcf514a2b94fe978226"
+
+
+def test_random_probe_reports_are_pinned():
+    # random non-members over random levels reach all three results
+    rng = random.Random(21)
+    reports = []
+    for name in builtin_names():
+        schema = load(name)
+        for t in suite_tangles(schema):
+            for _ in range(4):
+                s = random_separation(schema, rng, depth_bound=6)
+                if in_tangle(t, s):
+                    s = s.inverse()
+                schedule = [random_level(schema, rng, 8, 6) for _ in range(3)]
+                reports.append(closure_probe(t, s, schedule))
+    results = [e["result"] for rep in reports for e in rep["evidence"]]
+    assert len(reports) == 56
+    assert results.count("agreeing_member") == 81
+    assert results.count("no_canonical_move") == 77
+    assert results.count("no_agreeing_member") == 10
+    assert _probe_digest(reports) == "55f9b300fce7785c60ee702d678aee42"
+
+
 def test_ray_evidence_is_the_shifted_prefix(schemas):
     ray = schemas["ray"]
     t = end_tangle(ray, end_catalogue(ray).singles[0])
@@ -291,7 +353,9 @@ def test_kernel_move_is_the_corner_join_fold(schemas):
             probes = list(default_schedule(schema, 6)) + [frozenset(k.to_explicit())]
             probes += [frozenset(rng.sample(verts, rng.randint(0, min(8, len(verts))))) for _ in range(30)]
             for Z in probes:
-                assert _kernel_move(t, s, Z, k) == kernel_join(t, Z), (t.id(), sorted(Z))
+                kz = frozenset(z for z in Z if z in k)
+                got = _kernel_move(t, Z, s.restrict(Z), k, kz)
+                assert got == kernel_join(t, Z), (t.id(), sorted(Z))
     assert ends == 9
 
 
