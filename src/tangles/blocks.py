@@ -20,10 +20,9 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 
+from .components import core_components
 from .graphs import FiniteGraph, bit_ids
 from .schema import SchemaGraph
-from .semilinear import SemilinearSet
-from .symsets import SymVertexSet
 
 
 def pair_inseparable(g: FiniteGraph, u: str, v: str, k: int) -> bool:
@@ -203,26 +202,19 @@ def verify_subdivision(g: FiniteGraph, K, certificate: dict) -> bool:
 # -- infinite blocks on schemas -------------------------------------------------
 
 
-def clique_block(schema: SchemaGraph, clique: str) -> SymVertexSet:
-    """A clique together with its attached cores, which meet every clique
-    vertex and so cannot be cut off from it."""
-    return SymVertexSet.make(
-        schema,
-        core=frozenset(schema.clique_spec(clique).attach),
-        cliq_idx={clique: SemilinearSet.naturals()},
-    )
-
-
 def infinite_blocks(schema: SchemaGraph) -> list[dict]:
     """Maximal infinite sets pairwise inseparable by finite cuts.
 
     Only a clique provides infinitely many disjoint connections, so these
-    are the clique blocks."""
-    return [
-        {
+    are the clique blocks: the vertices dominating the core-level component
+    that holds the clique, that is the clique and its attached cores."""
+    cs = core_components(schema)
+    blocks = []
+    for c in schema.cliques:
+        k = next(k for k, comp in enumerate(cs.concretes) if c.name in comp.cliques)
+        blocks.append({
             "clique": c.name,
-            "vertices": clique_block(schema, c.name).text(),
-            "attached_cores": sorted(c.attach),
-        }
-        for c in schema.cliques
-    ]
+            "vertices": cs.dominators(("concrete", k)).text(),
+            "attached_cores": sorted(v[1] for v in cs.concretes[k].near),
+        })
+    return blocks

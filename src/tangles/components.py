@@ -26,8 +26,13 @@ its class and clique nodes and the cliques it holds, from which
 neighbours in it.  At the core level (``core_components``) the infinite
 classes are the critical vertex sets of the graph, the sets X with
 infinitely many components of G - X whose neighbourhood is exactly X, and
-every concrete component holds exactly one end; witnesses and kernels are
-read from there.
+every concrete component holds exactly one end.  The quotient's readers:
+``SchemaGraph._check_connected`` (the empty level leaves one component);
+at the core level ``infinite_tangles.end_catalogue`` (one end per concrete
+component and per copy of a ray-family class), ``critical_classes`` (the
+witnesses and ultrafilter classes), ``classify`` and ``tangle_from_limit``
+(the induced ultrafilter), ``topology.kernel`` and
+``blocks.infinite_blocks`` (dominators).
 """
 
 from __future__ import annotations

@@ -103,8 +103,8 @@ class FiniteGraph:
         )
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
-    def to_dot(self, name: str = "G") -> str:
-        lines = [f"graph {name} {{"]
+    def to_dot(self) -> str:
+        lines = ["graph G {"]
         for v in sorted(self.vertices):
             lines.append(f'  "{v}";')
         for u, v in sorted(self.edges):
@@ -161,23 +161,23 @@ def render_finite(g: FiniteGraph) -> str:
 # -- builders --------------------------------------------------------------
 
 
-def path_graph(n: int, prefix: str = "p") -> FiniteGraph:
-    ids = [f"{prefix}{i}" for i in range(n)]
+def path_graph(n: int) -> FiniteGraph:
+    ids = [f"p{i}" for i in range(n)]
     return FiniteGraph(
         frozenset(ids), frozenset(_edge(ids[i], ids[i + 1]) for i in range(n - 1))
     )
 
 
-def cycle_graph(n: int, prefix: str = "c") -> FiniteGraph:
-    ids = [f"{prefix}{i}" for i in range(n)]
+def cycle_graph(n: int) -> FiniteGraph:
+    ids = [f"c{i}" for i in range(n)]
     return FiniteGraph(
         frozenset(ids),
         frozenset(_edge(ids[i], ids[(i + 1) % n]) for i in range(n)),
     )
 
 
-def complete_graph(n: int, prefix: str = "k") -> FiniteGraph:
-    ids = [f"{prefix}{i}" for i in range(n)]
+def complete_graph(n: int) -> FiniteGraph:
+    ids = [f"k{i}" for i in range(n)]
     return FiniteGraph(
         frozenset(ids), frozenset(_edge(u, v) for u, v in combinations(ids, 2))
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .abstract import finite_far_side
 from .components import ComponentSet, FamilyClass, components, core_components
-from .sampling import random_level, random_selection, random_separation
+from .sampling import SAMPLE_DEPTH, random_level, random_selection, random_separation
 from .schema import SchemaGraph, Vertex, vertex_sort_key, vertex_text
 from .semilinear import SemilinearSet
 from .separations import OrientedSeparation, from_bipartition, from_vertex_sides, is_star
@@ -77,27 +77,16 @@ class EndCatalogue:
 
 
 def end_catalogue(schema: SchemaGraph) -> EndCatalogue:
-    """All ends: single rays merged along shared bridging families, leg
-    families (one end per copy), and one end per clique."""
-    parent = {r.name: r.name for r in schema.rays}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for f in schema.families:
-        rays = schema.aligned_rays(f)
-        for a, b in zip(rays, rays[1:]):
-            parent[find(a)] = find(b)
-    groups: dict[str, list[str]] = {}
-    for r in schema.rays:
-        groups.setdefault(find(r.name), []).append(r.name)
-    singles = [End("rays", tuple(sorted(g))) for g in groups.values()]
-    singles += [End("clique", (c.name,)) for c in schema.cliques]
+    """All ends, read from the core level: one per concrete component (its
+    clique, or its rays, merged along the families that bridge them), and
+    one per copy of each ray family."""
+    cs = core_components(schema)
+    singles = []
+    for c in cs.concretes:
+        rays = sorted(r.name for r in schema.rays if not c.vertices.ray_set(r.name).is_empty)
+        singles.append(End("clique", c.cliques) if c.cliques else End("rays", tuple(rays)))
     singles.sort(key=lambda e: e.id())
-    legs = tuple(sorted(f.name for f in schema.families if f.is_ray_family))
+    legs = tuple(cl.family for cl in cs.classes if schema.family_spec(cl.family).is_ray_family)
     return EndCatalogue(tuple(singles), legs)
 
 
@@ -325,9 +314,10 @@ def census(schema: SchemaGraph) -> dict:
     }
 
 
-def end_count_estimate(schema: SchemaGraph, n: int, r: int = 3) -> int:
-    """Truncation oracle: components of trunc(n) minus the depth-r ball that
+def end_count_estimate(schema: SchemaGraph, n: int) -> int:
+    """Truncation oracle: components of trunc(n) minus the depth-3 ball that
     are of growing size.  Leg families contribute n apiece at level n."""
+    r = 3
     g = schema.truncate(n)
     shallow = frozenset(
         vertex_text(v) for v in schema.vertices_below(n) if schema.depth(v) < r
@@ -359,9 +349,7 @@ def suite_tangles(schema: SchemaGraph) -> list[Tangle]:
 # -- sampled axiom checks ----------------------------------------------------------
 
 
-def sample_star_in_tangle(
-    tangle: Tangle, rng: random.Random, max_size: int = 6, depth_bound: int = 8
-) -> list[OrientedSeparation]:
+def sample_star_in_tangle(tangle: Tangle, rng: random.Random) -> list[OrientedSeparation]:
     """A random finite star contained in the tangle.
 
     Members split the components at one level into disjoint selections,
@@ -369,10 +357,10 @@ def sample_star_in_tangle(
     separation; the home component of the tangle is never given away.
     """
     schema = tangle.schema
-    X = random_level(schema, rng, 3, depth_bound)
+    X = random_level(schema, rng)
     cs = components(schema, X)
     u = induced_ultrafilter(tangle, X)
-    size = rng.randrange(1, max_size + 1)
+    size = rng.randrange(1, 7)  # 1 to 6 draws
     star, used = [], cs.select_none()
     for _ in range(size):
         pick = random_selection(cs, rng) - used
@@ -389,7 +377,7 @@ def sample_star_in_tangle(
 
 
 def sample_perturbation(
-    tangle: Tangle, sep: OrientedSeparation, rng: random.Random, depth_bound: int = 8
+    tangle: Tangle, sep: OrientedSeparation, rng: random.Random
 ) -> OrientedSeparation:
     """A finite perturbation of a tangle member: flip finitely many finite
     components across, or absorb an extra vertex into the separator."""
@@ -413,7 +401,7 @@ def sample_perturbation(
         if moved.union_vertices().is_finite:
             return sep.flip_finite(moved)
         return sep
-    pool = [v for v in schema.vertices_below(depth_bound) if v not in sep.X]
+    pool = [v for v in schema.vertices_below(SAMPLE_DEPTH) if v not in sep.X]
     if not pool:
         return sep
     v = rng.choice(pool)
@@ -463,7 +451,6 @@ def axiom_check(
     star_samples: int = 50,
     perturbation_samples: int = 25,
     member_samples: int = 25,
-    depth_bound: int = 8,
 ) -> dict:
     """Sampled tangle-axiom report: contained finite stars have an infinite
     common far side, members survive finite perturbation, every member's
@@ -472,7 +459,7 @@ def axiom_check(
     findings = []
     stars = members = 0
     for _ in range(star_samples):
-        star = sample_star_in_tangle(tangle, rng, depth_bound=depth_bound)
+        star = sample_star_in_tangle(tangle, rng)
         if not star:
             continue
         if not all(in_tangle(tangle, s) for s in star):
@@ -486,13 +473,13 @@ def axiom_check(
             findings.append(("finite_far_side", [s.text() for s in star]))
     perturbs = 0
     for _ in range(perturbation_samples):
-        sep = orient(tangle, random_separation(schema, rng, depth_bound=depth_bound))
-        pert = sample_perturbation(tangle, sep, rng, depth_bound)
+        sep = orient(tangle, random_separation(schema, rng))
+        pert = sample_perturbation(tangle, sep, rng)
         perturbs += 1
         if not in_tangle(tangle, pert):
             findings.append(("perturbation_escaped", sep.text(), pert.text()))
     for _ in range(member_samples):
-        sep = orient(tangle, random_separation(schema, rng, depth_bound=depth_bound))
+        sep = orient(tangle, random_separation(schema, rng))
         members += 1
         if sep.side_B.is_finite:
             findings.append(("finite_member_far_side", sep.text()))

@@ -13,6 +13,9 @@ from .schema import SchemaGraph, Vertex
 from .semilinear import SemilinearSet
 from .separations import OrientedSeparation, from_bipartition
 
+# Samplers draw vertices from the truncation of this depth.
+SAMPLE_DEPTH = 6
+
 
 def random_semilinear(rng: random.Random, within: SemilinearSet) -> SemilinearSet:
     """A random semilinear subset of ``within``."""
@@ -34,18 +37,14 @@ def random_semilinear(rng: random.Random, within: SemilinearSet) -> SemilinearSe
     return within - prog
 
 
-def random_vertices(
-    schema: SchemaGraph, rng: random.Random, count: int, depth_bound: int = 8
-) -> frozenset[Vertex]:
-    pool = schema.vertices_below(depth_bound)
+def random_vertices(schema: SchemaGraph, rng: random.Random, count: int) -> frozenset[Vertex]:
+    pool = schema.vertices_below(SAMPLE_DEPTH)
     count = min(count, len(pool))
     return frozenset(rng.sample(pool, count))
 
 
-def random_level(
-    schema: SchemaGraph, rng: random.Random, max_size: int = 3, depth_bound: int = 8
-) -> frozenset[Vertex]:
-    return random_vertices(schema, rng, rng.randrange(max_size + 1), depth_bound)
+def random_level(schema: SchemaGraph, rng: random.Random, max_size: int = 3) -> frozenset[Vertex]:
+    return random_vertices(schema, rng, rng.randrange(max_size + 1))
 
 
 def random_selection(cs: ComponentSet, rng: random.Random) -> ComponentSelection:
@@ -56,12 +55,7 @@ def random_selection(cs: ComponentSet, rng: random.Random) -> ComponentSelection
     )
 
 
-def random_separation(
-    schema: SchemaGraph,
-    rng: random.Random,
-    max_sep_size: int = 3,
-    depth_bound: int = 8,
-) -> OrientedSeparation:
-    X = random_level(schema, rng, max_sep_size, depth_bound)
+def random_separation(schema: SchemaGraph, rng: random.Random) -> OrientedSeparation:
+    X = random_level(schema, rng)
     cs = components(schema, X)
     return from_bipartition(schema, X, random_selection(cs, rng))

@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .graphs import FiniteGraph, GraphParseError, read_graph_line
+from .semilinear import ResourceGuardError
 
 Vertex = tuple
 
@@ -73,6 +74,11 @@ def vertex_sort_key(v: Vertex):
 
 class SchemaError(ValueError):
     pass
+
+
+# Vertices plus edges allowed in one truncation.  A ray family or a clique
+# brings about n^2 of them at depth n; past the cap the depth is refused.
+TRUNCATION_CAP = 1 << 15
 
 
 class SchemaGraph:
@@ -132,20 +138,13 @@ class SchemaGraph:
             raise SchemaError(f"family {f.name}: unknown pattern vertex {pv!r}")
 
     def _check_connected(self):
-        # Quotient graph: one node per core vertex and per part, hub edges as
-        # declared.  Family copies along a ray touch it, so they join its node.
-        nodes = [f"core:{v}" for v in self.core.vertices]
-        nodes += [f"part:{name}" for name in (*self._rays, *self._families, *self._cliques)]
-        edges = [(f"core:{u}", f"core:{v}") for u, v in self.core.edges]
-        edges += [(f"core:{r.hub}", f"part:{r.name}") for r in self.rays if r.hub is not None]
-        for f in self.families:
-            edges += [(f"core:{c}", f"part:{f.name}") for c, _ in f.core_attach]
-            edges += [(f"part:{rn}", f"part:{f.name}") for rn, _ in f.ray_attach]
-        for c in self.cliques:
-            edges += [(f"core:{cv}", f"part:{c.name}") for cv in c.attach]
-        if not nodes:
+        from .components import components  # components reads the schema
+
+        cs = components(self, ())
+        parts = len(cs.concretes) + len(cs.classes)
+        if not parts:
             raise SchemaError("empty schema")
-        if not FiniteGraph(frozenset(nodes), frozenset(edges)).is_connected():
+        if parts > 1:
             raise SchemaError("schema is not connected")
 
     # -- basic structure -----------------------------------------------------
@@ -251,12 +250,29 @@ class SchemaGraph:
             out += [("cliq", c.name, i) for i in range(n)]
         return out
 
+    def truncation_size(self, n: int) -> int:
+        """Vertices plus edges of the depth-n truncation, counted from the
+        parts (repeated attachments counted each time)."""
+        size = len(self.core.vertices) + len(self.core.edges)
+        size += sum(2 * n - 1 + (r.hub is not None) for r in self.rays)
+        for f in self.families:
+            copy = 2 * n - 1 if f.is_ray_family else len(f.pattern.vertices) + len(f.pattern.edges)
+            size += n * (copy + len(f.core_attach) + len(f.ray_attach))
+        size += sum(n * (n + 1) // 2 + n * len(c.attach) for c in self.cliques)
+        return size
+
     def truncate(self, n: int) -> FiniteGraph:
         """Finite graph on core plus ray positions < n and part indices < n."""
         if n < 1:
             raise ValueError("truncation level must be >= 1")
         if n in self._truncation_cache:
             return self._truncation_cache[n]
+        size = self.truncation_size(n)
+        if size > TRUNCATION_CAP:
+            raise ResourceGuardError(
+                f"depth-{n} truncation of {size} vertices and edges exceeds the cap of "
+                f"{TRUNCATION_CAP}"
+            )
         verts = {vertex_text(v) for v in self.vertices_below(n)}
         edges: set[tuple[str, str]] = set()
 

@@ -122,7 +122,7 @@ def component_oracle(rng: random.Random, levels: int, sizes) -> dict:
         schema = builtin.load(name)
         bad = 0
         for _ in range(levels):
-            X = random_level(schema, rng, 3, 6)
+            X = random_level(schema, rng, 3)
             bad += sum(symbolic_components_below(schema, X, n) != truncation_components(schema, X, n)
                        for n in sizes)
         checks.append(_record("graph-model/component-oracle", name, bad == 0))
@@ -137,9 +137,9 @@ def inverse_system(rng: random.Random, chains: int, probes: int, pairs: int) -> 
         schema = builtin.load(name)
         done = bad = 0
         while done < chains:
-            X = random_level(schema, rng, 2, 6)
-            Xp = X | random_level(schema, rng, 2, 6)
-            cs = components(schema, Xp | random_level(schema, rng, 2, 6))
+            X = random_level(schema, rng, 2)
+            Xp = X | random_level(schema, rng, 2)
+            cs = components(schema, Xp | random_level(schema, rng, 2))
             if not cs.concretes:
                 continue
             done += 1
@@ -153,7 +153,7 @@ def inverse_system(rng: random.Random, chains: int, probes: int, pairs: int) -> 
         t = suite_tangles(schema)[-1]  # the lazy representative
         u, bad = t.handle, 0
         for _ in range(probes):
-            Xp = t.witness | random_level(schema, rng, 2, 6)
+            Xp = t.witness | random_level(schema, rng, 2)
             back = restrict_ultrafilter(lift_ultrafilter(u, Xp), t.witness)
             sel = random_selection(u.cs, rng)
             bad += back.membership(sel) != u.membership(sel) or not handles_equivalent(back, u)
@@ -164,8 +164,8 @@ def inverse_system(rng: random.Random, chains: int, probes: int, pairs: int) -> 
         fam = limit_from_nonprincipal(lazy_on(components(schema, suite_tangles(schema)[-1].witness)))
         bad = 0
         for _ in range(pairs):
-            Y = random_level(schema, rng, 2, 6)
-            Yp = Y | random_level(schema, rng, 2, 6)
+            Y = random_level(schema, rng, 2)
+            Yp = Y | random_level(schema, rng, 2)
             bad += not handles_equivalent(restrict_ultrafilter(fam.eval(Yp), Y), fam.eval(Y))
         counts["pairs"] += pairs
         checks.append(_record("ultrafilters/limit-compatible", name, bad == 0))
@@ -180,9 +180,9 @@ def limit_roundtrip(rng: random.Random, samples: int) -> dict:
         t2 = tangle_from_limit(lim)
         lim2 = limit_of_tangle(t2)
         for _ in range(samples):
-            sep = random_separation(schema, rng, depth_bound=6)
+            sep = random_separation(schema, rng)
             bad[name] += orient(t, sep) != orient(t2, sep)
-            Y = random_level(schema, rng, 2, 6)
+            Y = random_level(schema, rng, 2)
             sel = random_selection(components(schema, Y), rng)
             bad[name] += lim.eval(Y).membership(sel) != lim2.eval(Y).membership(sel)
     return {"checks": [_record("tangles/limit-roundtrip", name, n == 0) for name, n in bad.items()]}
@@ -213,14 +213,14 @@ def minimal_witnesses(rng: random.Random, supersets: int, others: int) -> dict:
         w = minimal_witness(t)
         ok = not induced_ultrafilter(t, w).is_principal
         for _ in range(supersets):
-            sup = w | random_level(schema, rng, 2, 6)
+            sup = w | random_level(schema, rng, 2)
             ok = ok and not induced_ultrafilter(t, sup).is_principal
         for r in range(len(w)):
             for sub in combinations(sorted(w), r):
                 ok = ok and induced_ultrafilter(t, frozenset(sub)).is_principal
         seen = 0
         while seen < others:
-            other = random_level(schema, rng, 3, 6)
+            other = random_level(schema, rng, 3)
             if w <= other:
                 continue
             seen += 1
@@ -236,7 +236,7 @@ def axioms(rng: random.Random, star_samples: int, perturbation_samples: int,
     checks, stars = [], []
     for name, schema, t in _tangles():
         rep = axiom_check(t, rng, star_samples=star_samples, perturbation_samples=perturbation_samples,
-                          member_samples=member_samples, depth_bound=6)
+                          member_samples=member_samples)
         stars.append(rep["stars_checked"])
         checks.append(_record("tangles/axioms", f"{name}:{t.id()}", rep["ok"]))
     return {"checks": checks, "stars_checked": min(stars)}
@@ -251,7 +251,7 @@ def closedness(rng: random.Random, levels: int, samples: int) -> dict:
         if t.kind != "uf" and name == "cliq":
             ok = closed and kernel(t).cliq_set("K") == SemilinearSet.naturals()
             for _ in range(samples):
-                sep = random_separation(schema, rng, depth_bound=6)
+                sep = random_separation(schema, rng)
                 ok = ok and kernel_orientation_agrees(t, sep)
             checks.append(_record("topology/closed-orientation-rule", f"{name}:{t.id()}", ok))
         else:
@@ -326,7 +326,7 @@ def observation(rng: random.Random, stars: int) -> dict:
     far sides meet finitely."""
     checks, checked = [], []
     for name, schema, t in _tangles():
-        rep = observation_check(t, [sample_star_in_tangle(t, rng, depth_bound=6) for _ in range(stars)])
+        rep = observation_check(t, [sample_star_in_tangle(t, rng) for _ in range(stars)])
         checked.append(rep["stars_checked"])
         checks.append(_record("abstract/small-inverse-supremum", f"{name}:{t.id()}", rep["ok"]))
     return {"checks": checks, "stars_checked": min(checked)}

@@ -1,10 +1,13 @@
-"""Witnesses, ultrafilter classes and kernels read from the core-level
-quotient agree with the schema language's attachment rules."""
+"""The end catalogue, infinite blocks, witnesses, ultrafilter classes and
+kernels read from the core-level quotient agree with the schema language's
+attachment rules."""
 
+import dsl_reference as ref
 import pytest
 from dsl_reference import hub_vertices, kernel as reference_kernel, splittable_families, uf_classes
 from test_topology import WITH_TWO_CLIQUES
 
+from tangles.blocks import infinite_blocks
 from tangles.builtin import builtin_names, load
 from tangles.infinite_tangles import (
     census,
@@ -30,6 +33,8 @@ def _schema(name):
 @pytest.mark.parametrize("name", [*builtin_names(), *TEXTS])
 def test_core_level_matches_the_attachment_rules(name):
     schema = _schema(name)
+    assert end_catalogue(schema) == ref.end_catalogue(schema)
+    assert infinite_blocks(schema) == ref.infinite_blocks(schema)
     assert [cl.family for cl in critical_classes(schema)] == splittable_families(schema)
     assert census(schema)["uf_classes"] == uf_classes(schema)
     hubs = [hub_vertices(schema, f) for f in splittable_families(schema)]

@@ -244,6 +244,8 @@ def test_dot_output(capsys, k4_file):
     assert code == 0 and out.count("--") == 6
     code, out = run(capsys, "dot", "builtin:ray", "--truncation", "3")
     assert out.count("--") == 2
+    code, out = run(capsys, "dot", "builtin:spider", "--truncation", "5000")
+    assert code == 3 and out == ""
 
 
 def test_tk_exit_code_follows_verification(capsys, k4_file, monkeypatch):

@@ -71,7 +71,7 @@ def test_empty_deletion_is_one_component(schemas):
 def test_oracle_against_truncations(name, schemas, rng):
     schema = schemas[name]
     for _ in range(12):
-        X = random_level(schema, rng, 3, 6)
+        X = random_level(schema, rng, 3)
         for n in (10, 14):
             assert symbolic_components_below(schema, X, n) == truncation_components(
                 schema, X, n
@@ -114,7 +114,7 @@ def test_text_le_compares_texts_as_streams(schemas, rng):
     for name in ("star", "spider", "twostars", "twohub", "cliq"):
         schema = schemas[name]
         for _ in range(40):
-            cs = components(schema, random_level(schema, rng, 3, 6))
+            cs = components(schema, random_level(schema, rng, 3))
             a, b = random_selection(cs, rng), random_selection(cs, rng)
             for x, y in [(a, b), (b, a), (a, a), (a, a.complement()), (a, a | b)]:
                 assert x.text_le(y) == (x.text() <= y.text())
@@ -170,7 +170,7 @@ def test_oracle_on_adversarial_schemas(name, rng):
 
     schema = parse_schema(ADVERSARIAL[name])
     for _ in range(15):
-        X = random_level(schema, rng, 4, 6)
+        X = random_level(schema, rng, 4)
         for n in (10, 14):
             assert symbolic_components_below(schema, X, n) == truncation_components(
                 schema, X, n

@@ -112,8 +112,8 @@ def test_induced_commutes_with_restriction(schemas, rng):
         schema = schemas[name]
         for t in suite_tangles(schema):
             for _ in range(10):
-                X = random_level(schema, rng, 2, 6)
-                Xp = X | random_level(schema, rng, 2, 6)
+                X = random_level(schema, rng, 2)
+                Xp = X | random_level(schema, rng, 2)
                 assert handles_equivalent(
                     restrict_ultrafilter(induced_ultrafilter(t, Xp), X),
                     induced_ultrafilter(t, X),
@@ -154,7 +154,7 @@ def test_induced_ultrafilter_matches_lift_then_restrict(rng):
         ours = [t for t in suite_tangles(schema) if t.kind == "uf"]
         theirs = [t for t in suite_tangles(twin) if t.kind == "uf"]
         for t, r in zip(ours, theirs):
-            drawn = [random_level(schema, rng, 3, 6) for _ in range(12)]
+            drawn = [random_level(schema, rng, 3) for _ in range(12)]
             drawn = [X | t.witness if rng.random() < 0.5 else X for X in drawn]
             for X in drawn + pinned.get(name, []):
                 levels[t.witness <= X, None] += 1
@@ -242,7 +242,7 @@ def test_witness_sets_behave_monotonically(schemas, rng):
         t = uf_tangle(schema)
         w = minimal_witness(t)
         for _ in range(10):
-            sup = w | random_level(schema, rng, 2, 6)
+            sup = w | random_level(schema, rng, 2)
             assert not induced_ultrafilter(t, sup).is_principal
         from itertools import combinations
 
@@ -260,7 +260,7 @@ def test_tangle_limit_roundtrip(schemas, rng):
             t2 = tangle_from_limit(limit_of_tangle(t))
             assert t2.id() == t.id(), (name, t.id())
             for _ in range(15):
-                sep = random_separation(schema, rng, depth_bound=6)
+                sep = random_separation(schema, rng)
                 assert orient(t, sep) == orient(t2, sep)
 
 
@@ -317,8 +317,8 @@ def test_direction_monotone(schemas, rng):
             return induced_ultrafilter(t, X).generator_vertices()
 
         for _ in range(10):
-            X = random_level(schema, rng, 2, 6)
-            Xp = X | random_level(schema, rng, 2, 6)
+            X = random_level(schema, rng, 2)
+            Xp = X | random_level(schema, rng, 2)
             assert direction(Xp).issubset(direction(X))
 
 
@@ -393,7 +393,7 @@ def test_shared_ultrafilter_forces_agreement(schemas, rng):
     t2 = uf_tangle(spider, family="L")
     t2.handle.core = t1.handle.core  # same defining ultrafilter
     for _ in range(20):
-        sep = random_separation(spider, rng, depth_bound=6)
+        sep = random_separation(spider, rng)
         assert orient(t1, sep) == orient(t2, sep)
 
 
@@ -441,7 +441,7 @@ def test_orientation_is_down_closed(schemas, rng):
         schema = schemas[name]
         for t in suite_tangles(schema):
             for _ in range(150):
-                big = random_separation(schema, rng, depth_bound=6)
+                big = random_separation(schema, rng)
                 extra = random_selection(big.toB.cs, rng) - big.toB
                 small = from_bipartition(schema, big.X, big.toB | extra)
                 assert small.leq(big)
@@ -454,7 +454,7 @@ def test_small_separations_lie_in_every_tangle(schemas, rng):
         schema = schemas[name]
         for t in suite_tangles(schema)[:2]:
             for _ in range(50):
-                A = random_level(schema, rng, 3, 6)
+                A = random_level(schema, rng, 3)
                 cs = components(schema, A)
                 s = from_bipartition(schema, A, cs.select_all())  # (A, V)
                 assert orient(t, s) == s
@@ -487,9 +487,9 @@ def test_two_families_on_one_hub(rng):
 def test_restriction_to_a_union_determines_the_parts(schemas, rng):
     spider = schemas["spider"]
     for _ in range(15):
-        s = random_separation(spider, rng, depth_bound=6)
-        z1 = random_level(spider, rng, 3, 6)
-        z2 = random_level(spider, rng, 3, 6)
+        s = random_separation(spider, rng)
+        z1 = random_level(spider, rng, 3)
+        z2 = random_level(spider, rng, 3)
         a, b = s.restrict(z1 | z2)
         assert s.restrict(z1) == (a & z1, b & z1)
         assert s.restrict(z2) == (a & z2, b & z2)
@@ -500,6 +500,6 @@ def test_sampled_stars_are_stars_inside_the_tangle(schemas, rng):
         schema = schemas[name]
         for t in suite_tangles(schema)[:2]:
             for _ in range(20):
-                star = sample_star_in_tangle(t, rng, depth_bound=6)
+                star = sample_star_in_tangle(t, rng)
                 assert star and is_star(star)
                 assert all(in_tangle(t, s) for s in star)

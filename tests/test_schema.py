@@ -1,10 +1,15 @@
+import time
+from unittest import mock
+
 import pytest
+from dsl_reference import is_connected
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tangles.builtin import load, schema_text
 from tangles.graphs import GraphParseError
-from tangles.schema import parse_schema, parse_vertex, vertex_text
+from tangles.schema import TRUNCATION_CAP, SchemaGraph, parse_schema, parse_vertex, vertex_text
+from tangles.semilinear import ResourceGuardError
 
 
 def test_builtin_suite_parses(schemas):
@@ -86,6 +91,23 @@ def test_truncate_monotone(schemas):
         small, big = s.truncate(4), s.truncate(7)
         assert small.vertices <= big.vertices
         assert small.edges <= big.edges
+
+
+def test_truncation_size_counts_what_truncate_builds(schemas):
+    for s in schemas.values():
+        for n in (1, 2, 5, 17):
+            g = s.truncate(n)
+            assert s.truncation_size(n) == len(g.vertices) + len(g.edges)
+
+
+def test_truncation_past_the_cap_is_refused_before_it_is_built(schemas):
+    spider = schemas["spider"]
+    assert spider.truncation_size(127) <= TRUNCATION_CAP < spider.truncation_size(128)
+    start = time.perf_counter()
+    with pytest.raises(ResourceGuardError, match="cap"):
+        spider.truncate(5000)
+    assert time.perf_counter() - start < 0.5
+    assert 5000 not in spider._truncation_cache
 
 
 def test_truncation_edges_match_has_edge(schemas):
@@ -217,3 +239,20 @@ def test_dsl_text_is_rejected_or_round_trips(text):
         s.core, s.rays, s.families, s.cliques
     )
     assert again.to_text() == s.to_text()
+
+
+@settings(max_examples=500, deadline=None)
+@given(_schema_texts())
+def test_dsl_text_is_accepted_exactly_when_its_part_graph_is_connected(text):
+    # the parts as declared, before the connectivity check
+    with mock.patch.object(SchemaGraph, "_check_connected", lambda self: None):
+        try:
+            unchecked = parse_schema(text)
+        except GraphParseError:
+            unchecked = None
+    try:
+        parse_schema(text)
+        accepted = True
+    except GraphParseError:
+        accepted = False
+    assert accepted == (unchecked is not None and is_connected(unchecked))

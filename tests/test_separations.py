@@ -143,7 +143,7 @@ def test_canonical_soundness_on_truncations(schemas, rng):
     for name in ("ray", "dray", "star", "spider", "comb", "cliq"):
         schema = schemas[name]
         for _ in range(200):
-            s = random_separation(schema, rng, depth_bound=6)
+            s = random_separation(schema, rng)
             for n in (10, 20):
                 g = schema.truncate(n)
                 a = {vertex_text(v) for v in s.side_A.explicit_below(n)}
@@ -156,7 +156,7 @@ def test_canonical_soundness_on_truncations(schemas, rng):
 
 def test_order_reversal_sampled(schemas, rng):
     schema = schemas["spider"]
-    seps = [random_separation(schema, rng, depth_bound=6) for _ in range(12)]
+    seps = [random_separation(schema, rng) for _ in range(12)]
     for s in seps:
         for t in seps:
             assert s.leq(t) == t.inverse().leq(s.inverse())
@@ -166,15 +166,15 @@ def test_involution_sampled(schemas, rng):
     for name in ("ray", "star", "ladder"):
         schema = schemas[name]
         for _ in range(25):
-            s = random_separation(schema, rng, depth_bound=6)
+            s = random_separation(schema, rng)
             assert s.inverse().inverse() == s
 
 
 def test_corner_join_order_bound(schemas, rng):
     schema = schemas["spider"]
     for _ in range(20):
-        s = random_separation(schema, rng, depth_bound=6)
-        t = random_separation(schema, rng, depth_bound=6)
+        s = random_separation(schema, rng)
+        t = random_separation(schema, rng)
         j = s.corner_join(t)
         assert j.order <= s.order + t.order
         assert j.side_A == s.side_A | t.side_A

@@ -178,7 +178,7 @@ def test_union_all_matches_pairwise_fold(name, seed, count):
     rng = random.Random(seed)
     sets = []
     for _ in range(count):
-        sep = random_separation(schema, rng, depth_bound=6)
+        sep = random_separation(schema, rng)
         side = rng.choice((sep.side_A, sep.side_B))
         sets.append(side.complement() if rng.random() < 0.3 else side)
     fold = SymVertexSet.empty(schema)

@@ -7,10 +7,10 @@ import sys
 
 import networkx as nx
 import pytest
+from dsl_reference import clique_block
 from nx_reference import to_networkx
 from topology_reference import kernel_join
 
-from tangles.blocks import infinite_blocks
 from tangles.components import components
 from tangles.infinite_tangles import (
     end_catalogue,
@@ -142,7 +142,7 @@ def test_kernel_matches_membership_definition(schemas, rng):
         for t in suite_tangles(schema)[:2]:
             k = kernel(t)
             for _ in range(40):
-                sep = orient(t, random_separation(schema, rng, depth_bound=6))
+                sep = orient(t, random_separation(schema, rng))
                 for v in k.explicit_below(6):
                     assert not (v in sep.side_A and v not in sep.side_B)
             if t.kind == "end":
@@ -194,7 +194,7 @@ def test_closed_tangle_orientation_rule(schemas, rng):
     cliq = schemas["cliq"]
     t = end_tangle(cliq, end_catalogue(cliq).singles[0])
     for _ in range(50):
-        sep = random_separation(cliq, rng, depth_bound=6)
+        sep = random_separation(cliq, rng)
         assert kernel_orientation_agrees(t, sep)
 
 
@@ -281,10 +281,10 @@ def test_random_probe_reports_are_pinned():
         schema = load(name)
         for t in suite_tangles(schema):
             for _ in range(4):
-                s = random_separation(schema, rng, depth_bound=6)
+                s = random_separation(schema, rng)
                 if in_tangle(t, s):
                     s = s.inverse()
-                schedule = [random_level(schema, rng, 8, 6) for _ in range(3)]
+                schedule = [random_level(schema, rng, 8) for _ in range(3)]
                 reports.append(closure_probe(t, s, schedule))
     results = [e["result"] for rep in reports for e in rep["evidence"]]
     assert len(reports) == 56
@@ -313,7 +313,7 @@ def test_closed_kernels_are_the_infinite_blocks(schemas):
     cases = list(schemas.values()) + [parse_schema(WITH_TWO_CLIQUES)]
     for schema in cases:
         kernels = sorted(kernel(t).text() for t in suite_tangles(schema) if is_closed(t))
-        assert kernels == sorted(b["vertices"] for b in infinite_blocks(schema))
+        assert kernels == sorted(clique_block(schema, c.name).text() for c in schema.cliques)
     assert len(kernels) == 2
 
 

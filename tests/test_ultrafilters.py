@@ -115,7 +115,7 @@ def test_lift_then_restrict_is_identity(schemas, rng):
         cs = components(schema, X)
         u = lazy_on(cs)
         for _ in range(25):
-            Xp = X | random_level(schema, rng, 2, 6)
+            Xp = X | random_level(schema, rng, 2)
             back = restrict_ultrafilter(lift_ultrafilter(u, Xp), X)
             assert handles_equivalent(back, u)
             sel = random_selection(cs, rng)
@@ -136,9 +136,9 @@ def test_restriction_functorial(schemas, rng):
     for name in ("star", "spider", "twostars", "comb"):
         schema = schemas[name]
         for _ in range(15):
-            X = random_level(schema, rng, 2, 6)
-            Xp = X | random_level(schema, rng, 2, 6)
-            Xpp = Xp | random_level(schema, rng, 2, 6)
+            X = random_level(schema, rng, 2)
+            Xp = X | random_level(schema, rng, 2)
+            Xpp = Xp | random_level(schema, rng, 2)
             cs = components(schema, Xpp)
             for k in range(len(cs.concretes)):
                 u = principal_at(cs, ("concrete", k))
@@ -153,8 +153,8 @@ def test_preimage_matches_restriction(schemas, rng):
     for name in SUITE + EXTRAS:
         schema = schemas[name]
         for _ in range(20):
-            X = random_level(schema, rng, 2, 6)
-            Xp = X | random_level(schema, rng, 2, 6)
+            X = random_level(schema, rng, 2)
+            Xp = X | random_level(schema, rng, 2)
             cs, csp = components(schema, X), components(schema, Xp)
             sel = random_selection(cs, rng)
             pre = csp.partition_by(sel.union_vertices())
@@ -190,8 +190,8 @@ def test_limit_family_compatibility(schemas, rng):
         fam = limit_from_nonprincipal(u)
         assert handles_equivalent(fam.eval(hubs), u)
         for _ in range(15):
-            Y = random_level(schema, rng, 2, 6)
-            Yp = Y | random_level(schema, rng, 2, 6)
+            Y = random_level(schema, rng, 2)
+            Yp = Y | random_level(schema, rng, 2)
             assert handles_equivalent(
                 restrict_ultrafilter(fam.eval(Yp), Y), fam.eval(Y)
             )
