@@ -33,6 +33,13 @@ component and per copy of a ray-family class), ``critical_classes`` (the
 witnesses and ultrafilter classes), ``classify`` and ``tangle_from_limit``
 (the induced ultrafilter), ``topology.kernel`` and
 ``blocks.infinite_blocks`` (dominators).
+
+A level is validated here and nowhere else: ``components()`` checks X on a
+cache miss, and a hit trusts only a level with int or str indices, since
+only checked levels are cached.  Separations, basic opens, ultrafilters and
+limits take their level from ``components()`` and store ``cs.removed``.
+``parse_at_level`` reads the level and the selection of a separation's or a
+basic open's text.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from itertools import chain, zip_longest
 from dataclasses import dataclass, field
 
 from .semilinear import ResourceGuardError, SemilinearSet
-from .schema import SchemaGraph, Vertex
+from .schema import SchemaGraph, Vertex, parse_level
 from .symsets import SymVertexSet, union_all
 
 _NAT = SemilinearSet.naturals()
@@ -506,6 +513,17 @@ def _text_order(concretes: list[Concrete]) -> list[Concrete]:
     if any(b.startswith(a) for (a, _), (b, _) in zip(keyed, keyed[1:])):
         return sorted(concretes, key=lambda c: c.vertices.text())
     return [c for _, c in keyed]
+
+
+def parse_at_level(schema: SchemaGraph, text: str, pattern: re.Pattern, what: str):
+    """The level and the selection a text names: ``pattern`` matches the
+    level's vertex texts as its first group and the selection as its second.
+    Returns ``(cs.removed, selection)``."""
+    m = pattern.match(text.strip())
+    if not m:
+        raise ValueError(f"bad {what} text {text!r}")
+    cs = components(schema, parse_level(schema, m.group(1)))
+    return cs.removed, ComponentSelection.parse(cs, m.group(2))
 
 
 def core_components(schema: SchemaGraph) -> ComponentSet:

@@ -26,11 +26,13 @@ generator's masks, and an edge row the AND of its ends' rows.  So
 mask m, is one AND per bit of m and stops at 0.
 
 The searches are iterative depth-first scans that keep the chosen ids as one
-bitset C.  The tangle search refuses o when ``above`` finds in C one or two
-members completing o's cover.  The star search reads per oriented separation
-a row of the ids pointing towards it and a row of those inconsistent with
-it, both taken from one relation down[x] = {y <= x}, and looks for covers
-only among the members of C that point towards o.  The guard counts ANDs,
+bitset C, and share one refusal test (``_Search.refused``): o is refused when
+``above`` finds in C one or two members completing o's cover.  The star search
+filters first.  It reads per oriented separation a row of the ids pointing
+towards it and a row of those inconsistent with it, both taken from one
+relation down[x] = {y <= x}; it refuses o when C meets o's inconsistent row,
+and otherwise looks for covers only among the members of C that point towards
+o, a third member also pointing towards the second.  The guard counts ANDs,
 the row build included; one costs about 0.5-0.7 us in CPython 3.11 on
 graphs with up to ~10^4 oriented separations.
 """
@@ -223,26 +225,30 @@ class _Search:
             m |= self.a[o]
         return m == self.full
 
-    # The refusal tests below write out the AND chains of ``above``: the same
+    # The refusal test below writes out the AND chains of ``above``: the same
     # ANDs in the same order, the same stops, and the guard tested after
     # each chain.  With a call of ``above`` per chain the searches of the
     # benchmark's finite instances took about a third longer (CPython 3.11).
 
-    def tangle_refused(self, C: int, o: int) -> bool:
+    def refused(self, C: int, o: int, star: bool) -> bool:
         """o covers the graph alone or with one or two members of the chosen
-        bitset C.  This implies consistency, since inv(x) <= y makes
-        A_x | A_y contain A_x | B_x = V."""
+        bitset C.  In a star search (``star``) o is also refused when it is
+        inconsistent with a member of C, and the covering members must point
+        towards each other and o.  In a tangle search consistency is implied,
+        since inv(x) <= y makes A_x | A_y contain A_x | B_x = V."""
         a, holders, guard = self.a, self.holders, self.guard
         miss = self.full ^ a[o]
+        if star:
+            tow, inc = self.rows
+            self.spent += 2  # the rows of o ANDed with C
+            if inc[o] & C:
+                return True
+            C &= tow[o]
         if not miss:
             return True
-        # a member c of a covering pair or triple holds the lowest bit o
-        # misses; the pair is the triple (o, c, c)
-        spent = self.spent + (C > 0)
-        if spent > guard:
-            raise ResourceGuardError("orientation search exceeded guard")
-        for c in bit_ids(C & holders[(miss & -miss).bit_length() - 1]):
-            m, W = miss & ~a[c], C
+        spent = self.spent
+        if star:  # one member completing o's cover
+            m, W = miss, C
             while m and W:
                 low = m & -m
                 W &= holders[low.bit_length() - 1]
@@ -253,36 +259,16 @@ class _Search:
             if W:
                 self.spent = spent
                 return True
-        self.spent = spent
-        return False
-
-    def star_refused(self, C: int, o: int) -> bool:
-        """o is inconsistent with a member of the chosen bitset C, or covers the
-        graph alone or with one or two members that pairwise point towards each
-        other and o."""
-        a, holders, guard = self.a, self.holders, self.guard
-        tow, inc = self.rows
-        miss, S = self.full ^ a[o], tow[o] & C
-        self.spent += 2  # the rows of o ANDed with C
-        if inc[o] & C or not miss:
-            return True
-        spent, m, W = self.spent, miss, S
-        while m and W:
-            low = m & -m
-            W &= holders[low.bit_length() - 1]
-            m ^= low
-            spent += 1
+        # a member c of a covering pair or triple holds the lowest bit o
+        # misses; in a tangle search the pair is the triple (o, c, c)
+        spent += C > 0
         if spent > guard:
             raise ResourceGuardError("orientation search exceeded guard")
-        if W:
-            self.spent = spent
-            return True
-        spent += S > 0
-        if spent > guard:
-            raise ResourceGuardError("orientation search exceeded guard")
-        for c in bit_ids(S & holders[(miss & -miss).bit_length() - 1]):
-            spent += 1  # S & tow[c]
-            m, W = miss & ~a[c], S & tow[c]
+        for c in bit_ids(C & holders[(miss & -miss).bit_length() - 1]):
+            m, W = miss & ~a[c], C
+            if star:
+                W &= tow[c]
+                spent += 1
             while m and W:
                 low = m & -m
                 W &= holders[low.bit_length() - 1]
@@ -300,7 +286,6 @@ class _Search:
         """DFS over orientations, refusing choices that complete a forbidden
         cover; the chosen ids are also kept as one bitset C."""
         self.guard, self.spent = guard, 0
-        refused = self.star_refused if star_only else self.tangle_refused
         if star_only:
             self.rows  # built, and counted, before the first choice
         n = len(self.seps)
@@ -315,7 +300,7 @@ class _Search:
                 if chosen:
                     C ^= 1 << chosen.pop()
                 continue
-            if refused(C, o):
+            if self.refused(C, o, star_only):
                 continue
             chosen.append(o)
             C |= 1 << o
@@ -376,9 +361,9 @@ def check_star_reduction(g, k: int, guard: int = DEFAULT_GUARD) -> dict:
     }
 
 
-def check_join_closure(g, k: int, guard: int = DEFAULT_GUARD) -> dict:
+def check_join_closure(g, k: int) -> dict:
     """Every tangle contains (A u A', B n B') for its member pairs when in range."""
-    tangles = enumerate_tangles(g, k, guard)
+    tangles = enumerate_tangles(g, k)
     failures = []
     for t in tangles:
         members = set(t)

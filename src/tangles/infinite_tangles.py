@@ -183,9 +183,7 @@ def critical_class(schema: SchemaGraph, family: str | None = None) -> FamilyClas
 
 def induced_ultrafilter(tangle: Tangle, X) -> UltrafilterHandle:
     """The ultrafilter the tangle induces on the components at level X."""
-    schema = tangle.schema
-    X = schema.check_vertices(X)
-    cs = components(schema, X)
+    cs = components(tangle.schema, X)
     if tangle.kind == "end":
         return principal_at(cs, end_component(tangle.end, cs))
     return induced_by_core(cs, tangle.handle.core)
@@ -238,8 +236,7 @@ def limit_from(schema: SchemaGraph, X, u: UltrafilterHandle) -> LimitFamily:
     or has a finite hub set whose removal splits it into infinitely many
     pieces, through which a non-principal seed is routed.
     """
-    X = schema.check_vertices(X)
-    if u.level != X:
+    if components(schema, X).removed != u.level:
         raise ValueError("handle is not at the stated level")
     if not u.is_principal:
         return limit_from_nonprincipal(u)
@@ -252,7 +249,7 @@ def limit_from(schema: SchemaGraph, X, u: UltrafilterHandle) -> LimitFamily:
     # rayless infinite component: split it at the attachments of a class inside it
     for cl in critical_classes(schema):
         if gen.full_copy_indices(cl.family).is_infinite:
-            level = X | cl.attach
+            level = u.level | cl.attach
             return limit_from_nonprincipal(lazy_on(components(schema, level), cl.family))
     raise AssertionError("infinite rayless component without a critical class")
 

@@ -170,16 +170,16 @@ class SchemaGraph:
             case ("core", x):
                 return x in self.core.vertices
             case ("ray", name, pos):
-                return isinstance(pos, int) and pos >= 0 and name in self._rays
+                return type(pos) is int and pos >= 0 and name in self._rays
             case ("fam", name, copy, pv):
                 f = self._families.get(name)
-                if f is None or not (isinstance(copy, int) and copy >= 0):
+                if f is None or not (type(copy) is int and copy >= 0):
                     return False
                 if f.is_ray_family:
-                    return isinstance(pv, int) and pv >= 0
+                    return type(pv) is int and pv >= 0
                 return pv in f.pattern.vertices
             case ("cliq", name, idx):
-                return isinstance(idx, int) and idx >= 0 and name in self._cliques
+                return type(idx) is int and idx >= 0 and name in self._cliques
         return False
 
     def check_vertices(self, vs) -> frozenset:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
-from .components import ComponentSelection, components
-from .schema import SchemaGraph, Vertex, level_text, parse_level
+from .components import ComponentSelection, components, parse_at_level
+from .schema import SchemaGraph, Vertex, level_text
 from .symsets import SymVertexSet
 
 
@@ -98,11 +98,10 @@ class OrientedSeparation:
 
 
 def from_bipartition(schema: SchemaGraph, X, toB: ComponentSelection) -> OrientedSeparation:
-    X = schema.check_vertices(X)
     cs = components(schema, X)
     if toB.cs is not cs and toB.cs != cs:
         raise ValueError("selection does not match components of X")
-    return OrientedSeparation(schema, X, toB)
+    return OrientedSeparation(schema, cs.removed, toB)
 
 
 def from_vertex_sides(
@@ -145,10 +144,4 @@ _SEP_RE = re.compile(r"^sep X=\{(.*?)\} B=(\{.*\})$")
 
 
 def parse_separation(schema: SchemaGraph, text: str) -> OrientedSeparation:
-    m = _SEP_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"bad separation text {text!r}")
-    X = parse_level(schema, m.group(1))
-    cs = components(schema, X)
-    toB = ComponentSelection.parse(cs, m.group(2))
-    return OrientedSeparation(schema, X, toB)
+    return OrientedSeparation(schema, *parse_at_level(schema, text, _SEP_RE, "separation"))

@@ -15,7 +15,9 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .components import QUOTIENT_CAP, ComponentSelection, components, core_components
+from .components import (
+    QUOTIENT_CAP, ComponentSelection, components, core_components, parse_at_level,
+)
 from .infinite_tangles import (
     Tangle,
     end_component,
@@ -24,7 +26,7 @@ from .infinite_tangles import (
     limit_from,
     tangle_from_limit,
 )
-from .schema import SchemaGraph, Vertex, level_text, parse_level, vertex_sort_key, vertex_text
+from .schema import SchemaGraph, Vertex, level_text, vertex_sort_key, vertex_text
 from .semilinear import ResourceGuardError, SemilinearSet
 from .separations import OrientedSeparation, from_bipartition
 from .symsets import SymVertexSet, union_all
@@ -61,23 +63,17 @@ class BasicOpen:
 
 
 def basic_open(schema: SchemaGraph, X, selection: ComponentSelection) -> BasicOpen:
-    X = schema.check_vertices(X)
     cs = components(schema, X)
     if selection.cs is not cs and selection.cs != cs:
         raise ValueError("selection does not match the level")
-    return BasicOpen(X, selection)
+    return BasicOpen(cs.removed, selection)
 
 
 _OPEN_RE = re.compile(r"^open X=\{(.*?)\} C=(\{.*\})$")
 
 
 def parse_basic_open(schema: SchemaGraph, text: str) -> BasicOpen:
-    m = _OPEN_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"bad open set text {text!r}")
-    X = parse_level(schema, m.group(1))
-    cs = components(schema, X)
-    return BasicOpen(X, ComponentSelection.parse(cs, m.group(2)))
+    return BasicOpen(*parse_at_level(schema, text, _OPEN_RE, "open set"))
 
 
 # -- finite subcovers ---------------------------------------------------------
@@ -297,6 +293,6 @@ def nonclosed_witness_separation(tangle: Tangle) -> OrientedSeparation:
     return from_bipartition(schema, kx, cs.select_none())  # (V, K)
 
 
-def default_schedule(schema: SchemaGraph, levels: int = 5) -> Iterator[frozenset]:
+def default_schedule(schema: SchemaGraph, levels: int) -> Iterator[frozenset]:
     """The depth-1, ..., depth-``levels`` truncations' vertex sets, built lazily."""
     return (frozenset(schema.vertices_below(m + 1)) for m in range(levels))

@@ -158,11 +158,9 @@ def induced_by_core(cs: ComponentSet, core: LazyCore) -> UltrafilterHandle:
 
 def restrict_ultrafilter(U: UltrafilterHandle, X) -> UltrafilterHandle:
     """Push a handle at level X' down to a coarser level X (X inside X')."""
-    schema = U.schema
-    X = schema.check_vertices(X)
-    if not X <= U.level:
+    if not frozenset(X) <= U.level:
         raise ValueError("can only restrict to a subset of the current level")
-    cs = components(schema, X)
+    cs = components(U.schema, X)
     if U.is_principal:
         gen_set = U.generator_vertices()
         loc = cs.locate_vertex(gen_set.some_vertex())
@@ -174,13 +172,11 @@ def lift_ultrafilter(U: UltrafilterHandle, Xp) -> UltrafilterHandle:
     """The unique handle at a finer level X' restricting back to U
     (non-principal only): it shares U's core, so the family's class must
     survive at X'."""
-    schema = U.schema
-    Xp = schema.check_vertices(Xp)
-    if not U.level <= Xp:
+    if not U.level <= frozenset(Xp):
         raise ValueError("can only lift to a superset of the current level")
     if U.is_principal:
         raise PrincipalInputError("lifting needs a non-principal ultrafilter")
-    cs = components(schema, Xp)
+    cs = components(U.schema, Xp)
     if cs.class_for(U.core.family) is None:
         raise ValueError(f"no {U.core.family} class at this level")
     return UltrafilterHandle(cs, core=U.core)
@@ -194,10 +190,10 @@ class LimitFamily:
     """A compatible family of ultrafilters, one per finite level, evaluated on demand."""
 
     schema: SchemaGraph
-    _evaluator: object  # frozenset -> UltrafilterHandle
+    _evaluator: object  # level -> UltrafilterHandle, through components()
 
     def eval(self, Y) -> UltrafilterHandle:
-        return self._evaluator(self.schema.check_vertices(Y))
+        return self._evaluator(Y)
 
 
 def limit_from_nonprincipal(U: UltrafilterHandle) -> LimitFamily:

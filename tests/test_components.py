@@ -8,14 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_symsets import MIXED
 
-from tangles.builtin import builtin_names, load
+from tangles.builtin import builtin_names, load, schema_text
 from tangles.components import ComponentSelection, components
 from tangles.graphs import FiniteGraph, path_graph
+from tangles.infinite_tangles import induced_ultrafilter, limit_from, limit_of_tangle, suite_tangles
 from tangles.sampling import random_level, random_selection
 from tangles.schema import RaySpec, SchemaGraph, parse_schema, vertex_text
 from tangles.semilinear import SemilinearSet
+from tangles.separations import from_bipartition
 from tangles.suite import symbolic_components_below, truncation_components
 from tangles.symsets import SymVertexSet
+from tangles.topology import basic_open
+from tangles.ultrafilters import lift_ultrafilter, restrict_ultrafilter
 
 
 def test_path_middle_vertex():
@@ -228,6 +232,54 @@ def test_invalid_vertex_raises_on_an_uncached_level():
     components(schema, {("ray", "R", 1)})
     with pytest.raises(ValueError, match="not in schema"):
         components(schema, {("ray", "R", 1.0)})
+
+
+# Each entry that takes a level, called with a bad one.  ``good`` is a valid
+# level, computed first, and ``t`` the schema's last representative tangle
+# (the ray's end, the spider's ultrafilter tangle), so restricting and
+# lifting reach the level's own check.
+LEVEL_ENTRIES = {
+    "components": lambda s, good, t, bad: components(s, bad),
+    "induced_ultrafilter": lambda s, good, t, bad: induced_ultrafilter(t, bad),
+    "from_bipartition": lambda s, good, t, bad: from_bipartition(
+        s, bad, components(s, good).select_all()
+    ),
+    "basic_open": lambda s, good, t, bad: basic_open(s, bad, components(s, good).select_all()),
+    "restrict_ultrafilter": lambda s, good, t, bad: restrict_ultrafilter(
+        induced_ultrafilter(t, good), bad
+    ),
+    "lift_ultrafilter": lambda s, good, t, bad: lift_ultrafilter(
+        induced_ultrafilter(t, good), good | bad
+    ),
+    "limit_from": lambda s, good, t, bad: limit_from(s, bad, induced_ultrafilter(t, good)),
+    "limit_of_tangle.eval": lambda s, good, t, bad: limit_of_tangle(t).eval(bad),
+}
+GOOD_LEVELS = {"ray": frozenset({("ray", "R", 1)}), "spider": frozenset({("core", "c")})}
+
+
+@pytest.mark.parametrize("entry", LEVEL_ENTRIES)
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        ("ray", frozenset({("ray", "Nope", 0)})),
+        ("spider", frozenset({("fam", "L", 0, "x")})),
+        ("ray", frozenset({("ray", "R", 1.0)})),  # equal to the cached {ray:R:1}
+        ("ray", frozenset({("ray", "R", True)})),  # likewise, and an int instance
+    ],
+)
+def test_every_entry_refuses_a_bad_level(entry, name, bad):
+    schema = parse_schema(schema_text(name))  # empty caches
+    good = GOOD_LEVELS[name]
+    components(schema, good)
+    with pytest.raises(ValueError):
+        LEVEL_ENTRIES[entry](schema, good, suite_tangles(schema)[-1], bad)
+    cache = schema._component_cache
+    levels = [*cache, *(cs.removed for cs in cache.values())]
+    assert all(
+        schema.contains_vertex(v) and all(type(i) in (int, str) for i in v[2:])
+        for X in levels
+        for v in X
+    )
 
 
 def test_parse_splits_on_commas_outside_braces(schemas):

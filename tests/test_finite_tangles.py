@@ -283,6 +283,9 @@ class _Chained(_Search):
                 return True
         return False
 
+    def refused(self, C, o, star):
+        return self.star_refused(C, o) if star else self.tangle_refused(C, o)
+
 
 def _until_guard(s, star_only, guard):
     """The orientations a search yields, and its spend, or None for the
@@ -315,7 +318,7 @@ def test_star_test_refuses_exactly_covering_stars():
     for o, c, d in combinations(range(len(s.a)), 3):
         if s.covers(o, c, d) and not any(s.covers(x, y) for x, y in [(o, c), (o, d), (c, d)]):
             star = toward(s, o, c) and toward(s, o, d) and toward(s, c, d)
-            assert s.star_refused(1 << c | 1 << d, o) == star
+            assert s.refused(1 << c | 1 << d, o, True) == star
             kinds.add(star)
     assert kinds == {True, False}
 

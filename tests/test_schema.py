@@ -1,4 +1,5 @@
 import time
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -227,8 +228,37 @@ def _schema_texts(draw):
     return "\n".join(lines) + "\n"
 
 
+@st.composite
+def _built_schema_texts(draw):
+    """Texts assembled from declared parts, so that most of them parse: 1-4
+    core vertices with random core edges, 0-2 rays at core vertices, 0-2
+    families of the four kinds attached to declared parts, 0-1 clique."""
+    core = [f"c{i}" for i in range(draw(st.integers(1, 4)))]
+    hub = st.sampled_from(core)
+    lines = ["core:", *(f"v {c}" for c in core)]
+    lines += [f"e {a} {b}" for a, b in combinations(core, 2) if draw(st.booleans())]
+    rays = [f"R{i}" for i in range(draw(st.integers(0, 2)))]
+    lines += [f"ray {r} at {draw(hub)}" for r in rays]
+    kinds = [
+        "rayfam F{0} at {1}",
+        "family F{0} pattern {{ v p }} attach {1} p",
+        "family F{0} pattern {{ v p ; v q ; e p q }} attach {1} p attach {2} q",
+    ]
+    if rays:
+        kinds.append("family F{0} pattern {{ v p }} attach along {3} p")
+    for i in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(kinds))
+        lines.append(kind.format(i, draw(hub), draw(hub), draw(st.sampled_from(rays or [""]))))
+    if draw(st.booleans()):
+        lines.append(" ".join(["clique K", "attach", *draw(st.sets(hub, min_size=1, max_size=2))]))
+    return "\n".join(lines) + "\n"
+
+
+_DSL_TEXTS = st.one_of(_schema_texts(), _built_schema_texts())
+
+
 @settings(max_examples=500, deadline=None)
-@given(_schema_texts())
+@given(_DSL_TEXTS)
 def test_dsl_text_is_rejected_or_round_trips(text):
     try:
         s = parse_schema(text)
@@ -242,7 +272,7 @@ def test_dsl_text_is_rejected_or_round_trips(text):
 
 
 @settings(max_examples=500, deadline=None)
-@given(_schema_texts())
+@given(_DSL_TEXTS)
 def test_dsl_text_is_accepted_exactly_when_its_part_graph_is_connected(text):
     # the parts as declared, before the connectivity check
     with mock.patch.object(SchemaGraph, "_check_connected", lambda self: None):

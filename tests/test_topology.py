@@ -89,6 +89,22 @@ def test_subcover_ray(schemas):
     assert rep["verdict"] == "CONFIRMED"
 
 
+@pytest.mark.parametrize(
+    "name, text, witness",
+    [
+        # an infinite leftover concrete component: the ray's tail
+        ("ray", "open X={ray:R:0} C={}", "end:R"),
+        # a leftover class member of a ray family: the first odd leg
+        ("spider", "open X={core:c} C={L{0+2t}}", "end:L:1"),
+    ],
+)
+def test_subcover_refuted_through_a_principal_seed(schemas, name, text, witness):
+    schema = schemas[name]
+    rep = extract_subcover(schema, [parse_basic_open(schema, text)])
+    assert (rep["verdict"], rep["witness"], rep["witness_kind"]) == ("REFUTED", witness, "end")
+    assert rep["missed_by_every_open"]
+
+
 def test_subcover_confirmed_covers_truncation_points(schemas):
     star, X, cs, evens = star_opens(schemas)
     opens = [basic_open(star, X, evens), basic_open(star, X, evens.complement())]
