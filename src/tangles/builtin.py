@@ -18,7 +18,7 @@ def builtin_names() -> tuple[str, ...]:
 
 def schema_text(name: str) -> str:
     if name not in builtin_names():
-        raise KeyError(f"unknown builtin schema {name!r}")
+        raise ValueError(f"unknown builtin schema {name!r}")
     return (resources.files("tangles") / "schemas" / f"{name}.schema").read_text()
 
 

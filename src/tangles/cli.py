@@ -179,7 +179,7 @@ def main(argv=None) -> int:
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
-    except (GraphParseError, FileNotFoundError, ValueError, KeyError) as exc:
+    except (GraphParseError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,15 +6,16 @@ describable components: each is either a single symbolic vertex set
 identically attached family copies (``FamilyClass``, one component per
 index).
 
-The computation works on a finite quotient graph whose nodes are the
-explicit vertices near X, one tail node per ray (and per touched
-ray-family copy), one node per untouched copy class, and one remainder
-node per clique.  A copy class splits into per-index components exactly
-when its node is isolated after deleting X.  The non-explicit nodes carry
-raw parts (``SymVertexSet.ray_tail_part`` and its siblings: slot patterns
-not yet canonical, and a ray-family tail's holes), so each component's
-vertex set is assembled once: one index-set union per slot over its
-nodes' patterns and its explicit vertices (``SymVertexSet.assemble``).
+The computation works on a finite quotient graph.  Its nodes are the
+explicit vertices near X themselves, and four kinds of part node: one
+tail per ray (``rtail``) and per touched ray-family copy (``ftail``), one
+node per untouched copy class (``fclass``) and one remainder per clique
+(``crem``).  A copy class splits into per-index components exactly when
+its node is isolated after deleting X; the walk starts with X seen.  A
+part node carries a raw part (``SymVertexSet.ray_tail_part`` and its
+siblings: canonical slot patterns, and a ray-family tail's holes).  One
+assembler builds every vertex set, here and in ``SymVertexSet.of``: it
+reads a component's nodes in one pass (``SymVertexSet.assemble``).
 Concretes are ordered by their text, compared on first bits where
 those decide it (``_text_order``).
 
@@ -49,7 +50,7 @@ import re
 from itertools import chain, zip_longest
 from dataclasses import dataclass, field
 
-from .semilinear import ResourceGuardError, SemilinearSet
+from .semilinear import ResourceGuardError, SemilinearSet, from_pattern
 from .schema import SchemaGraph, Vertex, parse_level
 from .symsets import SymVertexSet, union_all
 
@@ -379,117 +380,79 @@ def components(schema: SchemaGraph, X) -> ComponentSet:
             f"quotient of {size} explicit nodes exceeds the cap of {QUOTIENT_CAP}"
         )
 
-    adj: dict[object, set] = {}
-    parts: dict[object, tuple] = {}  # explicit ("v", v) nodes carry none
-
-    def add_node(n, part=None):
-        if n not in adj:
-            adj[n] = set()
-            if part is not None:
-                parts[n] = part
-
-    def add_edge(a, b):
-        if a != b:
-            adj[a].add(b)
-            adj[b].add(a)
-
-    def vnode(v: Vertex):
-        return ("v", v)
-
-    for x in schema.core.vertices:
-        add_node(vnode(("core", x)))
-    for u, v in schema.core.edges:
-        add_edge(vnode(("core", u)), vnode(("core", v)))
+    # explicit vertices are their own nodes; the part nodes ("rtail", R),
+    # ("fclass", F), ("ftail", F, i) and ("crem", K) are keys of ``parts``
+    nodes = [("core", x) for x in schema.core.vertices]
+    edges = [(("core", u), ("core", v)) for u, v in schema.core.edges]
+    parts: dict[tuple, tuple] = {}
 
     for r in schema.rays:
         m = m_ray[r.name]
-        for p in range(m + 1):
-            add_node(vnode(("ray", r.name, p)))
-            if p > 0:
-                add_edge(vnode(("ray", r.name, p - 1)), vnode(("ray", r.name, p)))
         tail = ("rtail", r.name)
-        add_node(tail, SymVertexSet.ray_tail_part(r.name, m + 1))
-        if m >= 0:
-            add_edge(vnode(("ray", r.name, m)), tail)
+        parts[tail] = SymVertexSet.ray_tail_part(r.name, m + 1)
+        path = [("ray", r.name, p) for p in range(m + 1)] + [tail]
+        nodes += path
+        edges += zip(path, path[1:])
         if r.hub is not None:
-            hub = vnode(("core", r.hub))
-            add_edge(hub, vnode(("ray", r.name, 0)) if m >= 0 else tail)
+            edges.append((("core", r.hub), path[0]))
 
     for f in schema.families:
         bound = t_fam[f.name] + 1
         cls_node = ("fclass", f.name)
-        add_node(cls_node, SymVertexSet.copies_part(f, bound))
-        for c, pv in f.core_attach:
-            if f.is_ray_family and pv != 0:
-                continue
-            add_edge(vnode(("core", c)), cls_node)
-        for rn, pv in f.ray_attach:
-            add_edge(("rtail", rn), cls_node)
-        for i in range(bound):
-            if f.is_ray_family:
-                m = leg_pos.get((f.name, i), -1)
-                for p in range(m + 1):
-                    vv = ("fam", f.name, i, p)
-                    add_node(vnode(vv))
-                    if p > 0:
-                        add_edge(vnode(("fam", f.name, i, p - 1)), vnode(vv))
+        nodes.append(cls_node)
+        parts[cls_node] = SymVertexSet.copies_part(schema, f.name, bound)
+        edges += [(("core", c), cls_node) for c, _ in f.core_attach]
+        edges += [(("rtail", rn), cls_node) for rn, _ in f.ray_attach]
+        if f.is_ray_family:
+            for i in range(bound):
                 tail = ("ftail", f.name, i)
-                add_node(tail, SymVertexSet.copy_tail_part(f.name, i, m + 1))
-                if m >= 0:
-                    add_edge(vnode(("fam", f.name, i, m)), tail)
-                for c, _ in f.core_attach:
-                    hub = vnode(("core", c))
-                    add_edge(hub, vnode(("fam", f.name, i, 0)) if m >= 0 else tail)
-            else:
-                for pv in f.pattern_vertices():
-                    add_node(vnode(("fam", f.name, i, pv)))
-                for u, v in f.pattern.edges:
-                    add_edge(vnode(("fam", f.name, i, u)), vnode(("fam", f.name, i, v)))
-                for c, pv in f.core_attach:
-                    add_edge(vnode(("core", c)), vnode(("fam", f.name, i, pv)))
-                for rn, pv in f.ray_attach:
-                    # copy i binds to ray position i, explicit because i <= m_ray
-                    add_edge(vnode(("ray", rn, i)), vnode(("fam", f.name, i, pv)))
+                m = leg_pos.get((f.name, i), -1)
+                parts[tail] = SymVertexSet.copy_tail_part(f.name, i, m + 1)
+                path = [("fam", f.name, i, p) for p in range(m + 1)] + [tail]
+                nodes += path
+                edges += zip(path, path[1:])
+                edges += [(("core", c), path[0]) for c, _ in f.core_attach]
+        else:
+            n, copies, pvs = f.name, range(bound), f.pattern_vertices()
+            nodes += [("fam", n, i, pv) for i in copies for pv in pvs]
+            edges += [(("fam", n, i, u), ("fam", n, i, v)) for i in copies for u, v in f.pattern.edges]
+            edges += [(("core", c), ("fam", n, i, pv)) for i in copies for c, pv in f.core_attach]
+            # copy i binds to ray position i, explicit because i <= m_ray
+            edges += [(("ray", rn, i), ("fam", n, i, pv)) for i in copies for rn, pv in f.ray_attach]
 
     for c in schema.cliques:
         node = ("crem", c.name)
-        add_node(node, SymVertexSet.clique_rest_part(c.name, deleted_cliq[c.name]))
-        for cv in c.attach:
-            add_edge(vnode(("core", cv)), node)
+        nodes.append(node)
+        parts[node] = SymVertexSet.clique_rest_part(c.name, deleted_cliq[c.name])
+        edges += [(("core", cv), node) for cv in c.attach]
 
-    removed_nodes = {vnode(v) for v in X}
-    seen = set(removed_nodes)
-    comps: list[list] = []
-    for start in adj:
+    adj: dict[tuple, list] = {n: [] for n in nodes}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = set(X)
+    concretes: list[Concrete] = []
+    classes: list[FamilyClass] = []
+    for start in nodes:
         if start in seen:
             continue
-        stack, comp = [start], [start]
         seen.add(start)
-        while stack:
-            x = stack.pop()
+        comp = [start]
+        for x in comp:
             for y in adj[x]:
                 if y not in seen:
                     seen.add(y)
                     comp.append(y)
-                    stack.append(y)
-        comps.append(comp)
-
-    concretes: list[Concrete] = []
-    classes: list[FamilyClass] = []
-    for comp in comps:
-        if len(comp) == 1 and comp[0][0] == "fclass":
-            fname = comp[0][1]
-            indices = SemilinearSet.from_(t_fam[fname] + 1)
-            classes.append(FamilyClass(fname, indices, frozenset(y[1] for y in adj[comp[0]])))
-        else:
-            explicit = [n[1] for n in comp if n[0] == "v"]
-            nodes = [n for n in comp if n[0] != "v"]
-            vs = SymVertexSet.assemble(schema, explicit, [parts[n] for n in nodes])
-            if not vs.is_empty:
-                hubs = [n for n in nodes if n[0] in ("fclass", "crem")]
-                near = tuple({y[1] for n in hubs for y in adj[n] if y[0] == "v"})
-                cliques = tuple(n[1] for n in hubs if n[0] == "crem")
-                concretes.append(Concrete(vs, near, cliques))
+        if len(comp) == 1 and start[0] == "fclass":
+            indices = SemilinearSet(*from_pattern(t_fam[start[1]] + 1))
+            classes.append(FamilyClass(start[1], indices, frozenset(adj[start])))
+            continue
+        vs = SymVertexSet.assemble(schema, comp, parts)
+        if not vs.is_empty:
+            hubs = [n for n in comp if n[0] in ("fclass", "crem")]
+            near = tuple({y for n in hubs for y in adj[n] if y not in parts})
+            cliques = tuple(n[1] for n in hubs if n[0] == "crem")
+            concretes.append(Concrete(vs, near, cliques))
 
     if len(concretes) > 1:
         concretes = _text_order(concretes)

@@ -153,6 +153,17 @@ class SchemaGraph:
     def is_infinite(self) -> bool:
         return bool(self.rays or self.families or self.cliques)
 
+    @cached_property
+    def family_slots(self) -> dict[str, tuple[tuple, ...]]:
+        """Each family's index-set slots by name (see ``symsets``): one per
+        pattern vertex, or one for a ray family."""
+        return {
+            f.name: (("fam", f.name),)
+            if f.is_ray_family
+            else tuple(("fam", f.name, pv) for pv in f.pattern_vertices())
+            for f in self.families
+        }
+
     def ray_spec(self, name: str) -> RaySpec:
         return self._rays[name]
 

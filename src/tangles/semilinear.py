@@ -47,7 +47,7 @@ class ResourceGuardError(RuntimeError):
     """A computation would exceed a fixed resource bound."""
 
 
-def _guard(width: int) -> None:
+def guard_width(width: int) -> None:
     if width > WIDTH_CAP:
         raise ResourceGuardError(f"index set pattern of {width} bits exceeds the cap of {WIDTH_CAP}")
 
@@ -90,7 +90,7 @@ def _ones(m: int) -> list[int]:
 
 def points_pattern(xs) -> tuple[int, int, int, int]:
     """The finite set of the naturals ``xs``, guarded like :meth:`SemilinearSet.make`."""
-    _guard(max(xs, default=-1) + 1)
+    guard_width(max(xs, default=-1) + 1)
     low = 0
     for x in xs:
         low |= 1 << x
@@ -314,7 +314,7 @@ class SemilinearSet:
 def _aligned(parts, t: int, d: int) -> list[tuple[int, int]]:
     """Each ``(t_i, d_i, low, cycle)`` part as ``(low, cycle)`` at threshold
     ``t >= t_i`` and period ``d``, a multiple of ``d_i``."""
-    _guard(t + d)
+    guard_width(t + d)
     out = []
     for pt, pd, low, cycle in parts:
         if pt == t and pd == d:

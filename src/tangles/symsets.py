@@ -19,6 +19,12 @@ equality decides set equality.  Union, intersection, difference and
 complement are one index-set operation per slot; only the flipped
 vertices are looked up one by one.
 
+``assemble`` builds a set from explicit vertices and raw parts in one pass:
+a core vertex gives its name, a ray, clique or finite-family vertex one bit
+of its slot's mask, a ray-family vertex a flip candidate, and a part its
+slot patterns and holes.  A family's slot keys come from the schema's
+``family_slots`` table.
+
 The slots of one finite-pattern family differ in finitely many copies.
 The text form prints the copies in all of a family's slots (its whole
 copies) as ``fam:F{...}``, the other members of those slots and the
@@ -32,17 +38,10 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
-from .semilinear import SemilinearSet, all_but_pattern, from_pattern, points_pattern
-from .schema import FamilySpec, SchemaGraph, Vertex, vertex_sort_key, vertex_text
+from .semilinear import SemilinearSet, all_but_pattern, from_pattern, guard_width, points_pattern
+from .schema import SchemaGraph, Vertex, vertex_sort_key, vertex_text
 
 _EMPTY = SemilinearSet.empty()
-
-
-def _fam_keys(f: FamilySpec) -> list[tuple]:
-    """A family's slots: one per pattern vertex, or one for a ray family."""
-    if f.is_ray_family:
-        return [("fam", f.name)]
-    return [("fam", f.name, pv) for pv in f.pattern_vertices()]
 
 
 def _slot_key(schema: SchemaGraph, v: Vertex) -> tuple:
@@ -60,6 +59,8 @@ def _holds_rays(key: tuple) -> bool:
 def _flips(slots: dict, loose, inside) -> frozenset[Vertex]:
     """The ray-family vertices of ``loose`` whose membership (lying in
     ``inside``) differs from their copy's slot."""
+    if not loose:
+        return frozenset()
     return frozenset(v for v in loose if (v in inside) != (v[2] in slots.get(v[:2], _EMPTY)))
 
 
@@ -97,7 +98,7 @@ class SymVertexSet:
         slots = {("ray", n): s for n, s in dict(ray_pos).items()}
         slots |= {("cliq", n): s for n, s in dict(cliq_idx).items()}
         for n, s in dict(fam_whole).items():
-            slots |= dict.fromkeys(_fam_keys(schema.family_spec(n)), s)
+            slots |= dict.fromkeys(schema.family_slots[n], s)
         loose, edits = set(), {}
         for v in plus | minus:
             key = _slot_key(schema, v)
@@ -116,35 +117,46 @@ class SymVertexSet:
 
     @classmethod
     def of(cls, schema: SchemaGraph, vertices) -> "SymVertexSet":
-        return cls.assemble(schema, schema.check_vertices(vertices))
+        return cls.assemble(schema, schema.check_vertices(vertices), {})
 
     @classmethod
-    def assemble(cls, schema: SchemaGraph, vertices, parts=()) -> "SymVertexSet":
-        """The explicit ``vertices`` (not validated) united with the
-        ``parts`` built below: one index-set union per slot, over the parts'
-        patterns and the slot's explicit indices."""
-        core, by_slot, points, inside, holes = [], {}, {}, set(), []
-        for pairs, part_holes in parts:
-            for key, pattern in pairs:
-                by_slot.setdefault(key, []).append(pattern)
-            holes += part_holes
-        for v in vertices:
-            if v[0] == "core":
+    def assemble(cls, schema: SchemaGraph, nodes, parts: dict) -> "SymVertexSet":
+        """The union of ``nodes``, each an explicit vertex (not validated) or
+        a key of ``parts``, in one pass.  A core vertex adds its name; a ray,
+        clique or finite-family vertex sets its index bit in its slot's mask;
+        a ray-family vertex is a flip candidate; a part adds its patterns and
+        holes.  A slot of bits alone or of one pattern alone is canonical as
+        it stands; any other is one index-set union."""
+        core, bits, raw, inside, holes = [], {}, {}, [], []
+        for v in nodes:
+            tag = v[0]
+            if tag == "core":
                 core.append(v[1])
-                continue
-            key = _slot_key(schema, v)
-            if _holds_rays(key):
-                inside.add(v)
+            elif tag == "fam" and _holds_rays(schema.family_slots[v[1]][0]):
+                inside.append(v)
+            elif tag in ("ray", "cliq", "fam"):
+                guard_width(v[2] + 1)
+                key = v[:2] + v[3:]
+                bits[key] = bits.get(key, 0) | 1 << v[2]
             else:
-                points.setdefault(key, []).append(v[2])
-        for key, xs in points.items():
-            by_slot.setdefault(key, []).append(points_pattern(xs))
-        slots = {k: SemilinearSet.union_patterns(ps) for k, ps in by_slot.items()}
-        return cls._build(schema, core, slots, _flips(slots, [*inside, *holes], inside))
+                pairs, part_holes = parts[v]
+                for key, pattern in pairs:
+                    raw.setdefault(key, []).append(pattern)
+                holes += part_holes
+        slots = {}
+        for key, mask in bits.items():
+            pattern = (mask.bit_length(), 1, mask, 0)
+            if key in raw:
+                raw[key].append(pattern)
+            else:
+                slots[key] = SemilinearSet(*pattern)
+        for key, ps in raw.items():
+            slots[key] = SemilinearSet(*ps[0]) if len(ps) == 1 else SemilinearSet.union_patterns(ps)
+        return cls._build(schema, core, slots, _flips(slots, inside + holes, set(inside)))
 
     # A part for ``assemble`` is a pair: its slot patterns, as ``(key,
-    # pattern)`` with a ``semilinear`` pattern, and the ray-family vertices
-    # it leaves out of its copies.  Building one canonicalises nothing.
+    # pattern)`` with a canonical ``semilinear`` pattern, and the ray-family
+    # vertices it leaves out of its copies.
 
     @staticmethod
     def ray_tail_part(ray: str, from_pos: int) -> tuple:
@@ -152,10 +164,10 @@ class SymVertexSet:
         return (((("ray", ray), from_pattern(from_pos)),), ())
 
     @staticmethod
-    def copies_part(family: FamilySpec, from_copy: int) -> tuple:
+    def copies_part(schema: SchemaGraph, fam: str, from_copy: int) -> tuple:
         """The whole copies of a family from ``from_copy`` on."""
         pattern = from_pattern(from_copy)
-        return tuple((key, pattern) for key in _fam_keys(family)), ()
+        return tuple((key, pattern) for key in schema.family_slots[fam]), ()
 
     @staticmethod
     def copy_tail_part(fam: str, copy: int, from_pos: int) -> tuple:
@@ -186,10 +198,15 @@ class SymVertexSet:
     def _wholes(self) -> dict[str, SemilinearSet]:
         """Each family's copies that lie in all of its slots, by name; empty
         ones left out."""
-        out = {}
-        for n in sorted({k[1] for k, _ in self.slots if k[0] == "fam"}):
-            keys = _fam_keys(self.schema.family_spec(n))
-            w = reduce(operator.and_, (self._slot.get(k, _EMPTY) for k in keys))
+        by_fam: dict[str, list[SemilinearSet]] = {}
+        for key, s in self.slots:  # sorted by key, so by family name
+            if key[0] == "fam":
+                by_fam.setdefault(key[1], []).append(s)
+        out, table = {}, self.schema.family_slots
+        for n, sets in by_fam.items():
+            if len(sets) < len(table[n]):
+                continue  # an empty slot leaves no whole copy
+            w = reduce(operator.and_, sets)
             if not w.is_empty:
                 out[n] = w
         return out
@@ -271,7 +288,7 @@ class SymVertexSet:
         # complementing every slot keeps each flip a flip
         sch = self.schema
         keys = [("ray", r.name) for r in sch.rays] + [("cliq", c.name) for c in sch.cliques]
-        keys += [k for f in sch.families for k in _fam_keys(f)]
+        keys += [k for fam in sch.family_slots.values() for k in fam]
         slots = {k: self._slot.get(k, _EMPTY).complement() for k in keys}
         return SymVertexSet._build(sch, sch.core.vertices - self.core, slots, self.flips)
 

@@ -284,6 +284,11 @@ def test_leg_of_an_unknown_family(capsys):
     assert "family 'L' is not a ray family; ray families: none" in capsys.readouterr().err
 
 
+def test_unknown_builtin_is_bad_input(capsys):
+    assert main(["census", "builtin:nope"]) == 2
+    assert capsys.readouterr().err == "error: unknown builtin schema 'nope'\n"
+
+
 def test_uf_default_family_follows_schema_order(capsys, tmp_path):
     from tangles.infinite_tangles import uf_tangle
     from tangles.schema import parse_schema

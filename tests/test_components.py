@@ -6,11 +6,12 @@ import pytest
 from components_reference import reference_components
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_schema import _built_schema_texts
 from test_symsets import MIXED
 
 from tangles.builtin import builtin_names, load, schema_text
 from tangles.components import ComponentSelection, components
-from tangles.graphs import FiniteGraph, path_graph
+from tangles.graphs import FiniteGraph, GraphParseError, path_graph
 from tangles.infinite_tangles import induced_ultrafilter, limit_from, limit_of_tangle, suite_tangles
 from tangles.sampling import random_level, random_selection
 from tangles.schema import RaySpec, SchemaGraph, parse_schema, vertex_text
@@ -323,10 +324,21 @@ def test_concretes_sort_by_full_text_when_a_first_bit_is_a_prefix():
 REFERENCE_SCHEMAS = {**{name: load(name) for name in builtin_names()}, "mixed": MIXED}
 
 
+def _parsed(text):
+    try:
+        return parse_schema(text)
+    except GraphParseError:
+        return None
+
+
+# schemas built from random parts; texts that do not parse are skipped
+BUILT_SCHEMAS = _built_schema_texts().map(_parsed).filter(lambda s: s is not None)
+
+
 @st.composite
-def levels(draw):
+def levels(draw, schemas=st.sampled_from(sorted(REFERENCE_SCHEMAS)).map(REFERENCE_SCHEMAS.get)):
     """A random core subset plus 0-4 vertices of the depth-8 truncation."""
-    schema = REFERENCE_SCHEMAS[draw(st.sampled_from(sorted(REFERENCE_SCHEMAS)))]
+    schema = draw(schemas)
     names = sorted(schema.core.vertices)
     core = draw(st.frozensets(st.sampled_from(names)) if names else st.just(frozenset()))
     extra = draw(st.lists(st.sampled_from(schema.vertices_below(8)), max_size=4))
@@ -344,6 +356,13 @@ def _shape(cs):
 @given(levels())
 @settings(max_examples=300, deadline=None)
 def test_components_match_the_reference_builder(level):
+    schema, X = level
+    assert _shape(components(schema, X)) == _shape(reference_components(schema, X))
+
+
+@given(levels(BUILT_SCHEMAS))
+@settings(max_examples=300, deadline=None)
+def test_components_match_the_reference_builder_on_built_schemas(level):
     schema, X = level
     assert _shape(components(schema, X)) == _shape(reference_components(schema, X))
 

@@ -1,7 +1,8 @@
 """Pinned command outputs.
 
 ``golden_outputs.json`` maps each name to a list of argvs and the md5 of
-their stdouts, concatenated in order.  The CI steps that run the same
+their stdouts, concatenated in order.  A file an argv names is read from
+the repository root.  The CI steps that run the same
 commands through the installed ``tangles`` read their digests from it.
 Run as a script, this module prints the digests as JSON.
 """
@@ -18,17 +19,22 @@ from pathlib import Path
 from tangles.cli import main
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_outputs.json").read_text())
+ROOT = Path(__file__).resolve().parent.parent
 PINNED = {name: entry["md5"] for name, entry in GOLDEN.items()}
 
 
 def digests() -> dict[str, str]:
-    out = {}
-    for name, entry in GOLDEN.items():
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            for argv in entry["argvs"]:
-                assert main(argv) == 0, argv
-        out[name] = hashlib.md5(buf.getvalue().encode()).hexdigest()
+    out, cwd = {}, os.getcwd()
+    os.chdir(ROOT)
+    try:
+        for name, entry in GOLDEN.items():
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                for argv in entry["argvs"]:
+                    assert main(argv) == 0, argv
+            out[name] = hashlib.md5(buf.getvalue().encode()).hexdigest()
+    finally:
+        os.chdir(cwd)
     return out
 
 

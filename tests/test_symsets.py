@@ -138,6 +138,23 @@ def test_of_trips_the_width_guard_before_building_a_mask():
     assert far in SymVertexSet.of(MIXED, [far])
 
 
+def test_raw_parts_are_canonical_alone(rng):
+    # ``assemble`` takes a slot's lone pattern as it stands
+    for _ in range(200):
+        a, b = rng.randrange(70), rng.randrange(6)
+        gone = rng.sample(range(70), rng.randrange(5))
+        parts = [
+            SymVertexSet.ray_tail_part("R", a),
+            SymVertexSet.copies_part(MIXED, "T", a),
+            SymVertexSet.copies_part(MIXED, "L", a),
+            SymVertexSet.copy_tail_part("L", a, b),
+            SymVertexSet.clique_rest_part("K", gone),
+        ]
+        for pairs, _ in parts:
+            for _, p in pairs:
+                assert SemilinearSet(*p) == SemilinearSet.union_patterns([p]), p
+
+
 @given(symsets(), symsets())
 @settings(max_examples=80, deadline=None)
 def test_ops_match_pointwise_oracle(a, b):
