@@ -7,9 +7,17 @@ own involution image).  For graph separations the supremum of a star is
 the corner join fold, and its inverse is small exactly when the star's
 far sides meet in a finite set, so the two definitions can be compared
 sample by sample.
+
+The B sides of a star at one level X meet in X together with the
+components that every member selects, so that meet is finite exactly when
+those components hold finitely many vertices; ``finite_far_side`` reads
+the selections there and builds the sides only for a star across levels.
 """
 
 from __future__ import annotations
+
+import operator
+from functools import reduce
 
 from .separations import OrientedSeparation, from_vertex_sides, is_star
 
@@ -26,10 +34,10 @@ def small_inverse_supremum(star: list[OrientedSeparation]) -> bool:
 
 
 def finite_far_side(star: list[OrientedSeparation]) -> bool:
-    far = star[0].side_B
-    for s in star[1:]:
-        far = far & s.side_B
-    return far.is_finite
+    """Whether the B sides of the star's members meet in a finite set."""
+    if all(s.X == star[0].X for s in star):
+        return reduce(operator.and_, (s.toB for s in star)).union_vertices().is_finite
+    return reduce(operator.and_, (s.side_B for s in star)).is_finite
 
 
 def observation_check(tangle, stars: list[list[OrientedSeparation]]) -> dict:

@@ -32,7 +32,7 @@ from .infinite_tangles import (
     uf_tangle,
 )
 from .schema import SchemaGraph, parse_level, parse_schema, parse_vertex, vertex_text
-from .semilinear import ResourceGuardError
+from .semilinear import ResourceGuardError, parse_nat
 from .separations import parse_separation
 from .topology import (
     closure_probe,
@@ -102,7 +102,7 @@ def _find_tangle(schema: SchemaGraph, tid: str):
             return t
     parts = tid.split(":")
     if parts[0] == "end" and len(parts) == 3:
-        return end_tangle(schema, leg_end(schema, parts[1], int(parts[2])))
+        return end_tangle(schema, leg_end(schema, parts[1], parse_nat(parts[2], "leg index")))
     if parts[0] == "uf" and len(parts) == 2:
         return uf_tangle(schema, family=parts[1])
     raise ValueError(f"unknown tangle id {tid!r}; try `tangles census`")

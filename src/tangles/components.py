@@ -50,7 +50,7 @@ import re
 from itertools import chain, zip_longest
 from dataclasses import dataclass, field
 
-from .semilinear import ResourceGuardError, SemilinearSet, from_pattern
+from .semilinear import ResourceGuardError, SemilinearSet, from_pattern, parse_nat
 from .schema import SchemaGraph, Vertex, parse_level
 from .symsets import SymVertexSet, union_all
 
@@ -239,12 +239,10 @@ class ComponentSelection:
         """Whether the selection contains finitely many components."""
         return all(p.is_finite for p in self.class_parts)
 
-    def union_vertices(self) -> SymVertexSet:
-        sets = [
-            c.vertices
-            for c, f in zip(self.cs.concretes, self.concrete_flags)
-            if f
-        ]
+    def union_vertices(self, *extra: SymVertexSet) -> SymVertexSet:
+        """The vertices of the selected components and of ``extra``, in one union."""
+        sets = [*extra]
+        sets += [c.vertices for c, f in zip(self.cs.concretes, self.concrete_flags) if f]
         sets += [
             SymVertexSet.whole_copies(self.cs.schema, c.family, p)
             for c, p in zip(self.cs.classes, self.class_parts)
@@ -310,16 +308,16 @@ class ComponentSelection:
             item = item.strip()
             if not item:
                 continue
-            if item.startswith("c") and item[1:].isdigit():
-                k = int(item[1:])
-                if k >= len(flags):
-                    raise ValueError(f"no concrete component {item!r}")
-                flags[k] = True
-            elif "{" in item:
+            if "{" in item:
                 fam, sls = item.split("{", 1)
                 if fam not in parts:
                     raise ValueError(f"no component class {fam!r}")
                 parts[fam] |= SemilinearSet.parse("{" + sls)
+            elif item.startswith("c"):
+                k = parse_nat(item[1:], "concrete component number")
+                if k >= len(flags):
+                    raise ValueError(f"no concrete component {item!r}")
+                flags[k] = True
             else:
                 raise ValueError(f"bad selection item {item!r}")
         return cs.selection(

@@ -432,7 +432,7 @@ def infinite_star_probe(tangle: Tangle, level: frozenset, family: str) -> dict:
             end_component(tangle.end, cs)
         )
     # copy i's member has all but copy i on its far side
-    far_side_finite = (sep0.side_B - rest_copies.union_vertices()).is_finite
+    far_side_finite = (sep0.toB - rest_copies).union_vertices().is_finite
     return {
         "level": sorted(map(vertex_text, level)),
         "family": family,
@@ -478,7 +478,7 @@ def axiom_check(
     for _ in range(member_samples):
         sep = orient(tangle, random_separation(schema, rng))
         members += 1
-        if sep.side_B.is_finite:
+        if sep.toB.union_vertices().is_finite:
             findings.append(("finite_member_far_side", sep.text()))
     probes = []
     for level in witness_candidates(schema):

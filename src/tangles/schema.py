@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .graphs import FiniteGraph, GraphParseError, read_graph_line
-from .semilinear import ResourceGuardError
+from .semilinear import ResourceGuardError, parse_nat
 
 Vertex = tuple
 
@@ -371,12 +371,13 @@ def parse_vertex(schema: SchemaGraph, text: str) -> Vertex:
             case ["core", x]:
                 v = ("core", x)
             case ["ray", name, pos]:
-                v = ("ray", name, int(pos))
+                v = ("ray", name, parse_nat(pos, "position"))
             case ["fam", name, copy, pv]:
                 f = schema.family_spec(name)
-                v = ("fam", name, int(copy), int(pv) if f.is_ray_family else pv)
+                pv = parse_nat(pv, "leg position") if f.is_ray_family else pv
+                v = ("fam", name, parse_nat(copy, "copy"), pv)
             case ["cliq", name, idx]:
-                v = ("cliq", name, int(idx))
+                v = ("cliq", name, parse_nat(idx, "clique index"))
             case _:
                 raise ValueError
     except (ValueError, KeyError):

@@ -40,11 +40,21 @@ from math import lcm
 # Widest aligned pattern (threshold + period, in bits) an operation builds.
 WIDTH_CAP = 1 << 20
 
-_PROG_RE = re.compile(r"^(\d+)\+(\d+)t$")
+_NAT_RE = re.compile(r"[0-9]+")
+_PROG_RE = re.compile(r"([0-9]+)\+([0-9]+)t")
 
 
 class ResourceGuardError(RuntimeError):
     """A computation would exceed a fixed resource bound."""
+
+
+def parse_nat(text: str, what: str) -> int:
+    """The natural number that ``text`` writes in ASCII decimal digits.  Any
+    other text, even one ``int`` reads (``1_0``, ``+4``, non-ASCII digits),
+    is a ValueError naming it as a ``what``, so each number has one text."""
+    if not _NAT_RE.fullmatch(text):
+        raise ValueError(f"bad {what} {text!r}")
+    return int(text)
 
 
 def guard_width(width: int) -> None:
@@ -300,11 +310,11 @@ class SemilinearSet:
         if body:
             for item in body.split(","):
                 item = item.strip()
-                m = _PROG_RE.match(item)
+                m = _PROG_RE.fullmatch(item)
                 if m:
                     progs.append((int(m.group(1)), int(m.group(2))))
                 else:
-                    explicit.append(int(item))
+                    explicit.append(parse_nat(item, "index item"))
         return cls.make(explicit, progs)
 
     def __repr__(self) -> str:

@@ -6,6 +6,13 @@ sides; the B side is the selected sub-collection.  For any separation
 {A, B} of finite order, every component of the graph minus the separator
 lies wholly on one side, so this catalogue is exhaustive, and equality of
 canonical forms decides equality of separations.
+
+At one level X the components are disjoint and non-empty, so the B side
+X u (the selected components) and the A side X u (the others) are decided
+by the selection S alone: (X, S) <= (X, T) exactly when T is a subset of
+S, and the corner join of (X, S) and (X, T) is (X, S n T).  ``leq`` and
+``corner_join`` read the selections there and build no vertex set;
+separations at different levels are compared and joined by their sides.
 """
 
 from __future__ import annotations
@@ -38,11 +45,11 @@ class OrientedSeparation:
 
     @cached_property
     def side_B(self) -> SymVertexSet:
-        return self.separator_set | self.toB.union_vertices()
+        return self.toB.union_vertices(self.separator_set)
 
     @cached_property
     def side_A(self) -> SymVertexSet:
-        return self.separator_set | self.toB.complement().union_vertices()
+        return self.toB.complement().union_vertices(self.separator_set)
 
     @property
     def order(self) -> int:
@@ -57,6 +64,8 @@ class OrientedSeparation:
         """(A,B) <= (C,D) iff A is contained in C and B contains D."""
         if self.schema is not other.schema:
             raise ValueError("separations over different graphs")
+        if self.X == other.X:
+            return (other.toB - self.toB).is_empty
         return self.side_A.issubset(other.side_A) and other.side_B.issubset(self.side_B)
 
     @property
@@ -68,6 +77,8 @@ class OrientedSeparation:
         """(A u A', B n B'), canonicalised; order <= order(s)+order(t)."""
         if self.schema is not other.schema:
             raise ValueError("separations over different graphs")
+        if self.X == other.X:
+            return OrientedSeparation(self.schema, self.X, self.toB & other.toB)
         return from_vertex_sides(
             self.schema, self.side_A | other.side_A, self.side_B & other.side_B
         )

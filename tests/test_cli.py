@@ -289,6 +289,23 @@ def test_unknown_builtin_is_bad_input(capsys):
     assert capsys.readouterr().err == "error: unknown builtin schema 'nope'\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["uf", "builtin:star", "--at", "core:c", "--query", "{L{2+3}}"], "bad index item '2+3'"),
+        (["uf", "builtin:star", "--at", "core:c", "--query", "{L{1_0}}"], "bad index item '1_0'"),
+        (["uf", "builtin:ray", "--at", "ray:R:1_0"], "bad vertex text 'ray:R:1_0'"),
+        (["orient", "builtin:ray", "--tangle", "end:R", "--sep", "sep X={ray:R:5} B={c\u0661}"],
+         "bad concrete component number '\u0661'"),
+        (["orient", "builtin:spider", "--tangle", "end:L:1_0", "--sep", "sep X={core:c} B={L{0}}"],
+         "bad leg index '1_0'"),
+    ],
+)
+def test_number_aliases_are_bad_input(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_uf_default_family_follows_schema_order(capsys, tmp_path):
     from tangles.infinite_tangles import uf_tangle
     from tangles.schema import parse_schema

@@ -1,3 +1,4 @@
+import re
 import sys
 import time
 from pathlib import Path
@@ -305,6 +306,16 @@ def test_parse_splits_on_commas_outside_braces(schemas):
     ]:
         with pytest.raises(ValueError, match=message):
             ComponentSelection.parse(cs, text)
+
+
+def test_parse_reads_component_numbers_as_ascii_decimals(schemas):
+    cs = components(schemas["spider"], {("core", "c"), ("fam", "L", 0, 1)})
+    assert ComponentSelection.parse(cs, "{c0}") == cs.selection(concretes=[0])
+    for number in ("\u0660", "0_0", "+0", ""):
+        with pytest.raises(ValueError, match=re.escape(f"bad concrete component number {number!r}")):
+            ComponentSelection.parse(cs, "{c" + number + "}")
+    with pytest.raises(ValueError, match="bad index item '1_0'"):
+        ComponentSelection.parse(cs, "{L{1_0}}")
 
 
 def test_concretes_sort_by_full_text_when_a_first_bit_is_a_prefix():

@@ -1,3 +1,4 @@
+import re
 import time
 from itertools import combinations
 from unittest import mock
@@ -132,6 +133,16 @@ def test_vertex_text_roundtrip(schemas):
         parse_vertex(schemas["ray"], "ray:R:-1")
     with pytest.raises(ValueError):
         parse_vertex(schemas["ray"], "cliq:K:0")
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [("ray", "ray:R:1_0"), ("ray", "ray:R:+1"), ("ray", "ray:R:\u0661"),
+     ("cliq", "cliq:K:0_1"), ("star", "fam:L:\u0663:p"), ("spider", "fam:L:0:1_0")],
+)
+def test_vertex_indices_are_ascii_decimals(schemas, name, text):
+    with pytest.raises(ValueError, match=re.escape(f"bad vertex text {text!r}")):
+        parse_vertex(schemas[name], text)
 
 
 def test_depth(schemas):

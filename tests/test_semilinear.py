@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +64,13 @@ def test_parse_roundtrip():
         assert SemilinearSet.parse(s.text()) == s
     with pytest.raises(ValueError):
         SemilinearSet.parse("0,1")
+
+
+@pytest.mark.parametrize("item", ["1_0", "+4", "\u0663+2t", "3+\u0662t", "1_0+2t", "2+3", "-1"])
+def test_parse_reads_only_ascii_decimals(item):
+    # int() reads 1_0, +4 and non-ASCII digits; a text has one reading
+    with pytest.raises(ValueError, match=re.escape(f"bad index item {item!r}")):
+        SemilinearSet.parse("{0, " + item + "}")
 
 
 def test_bad_inputs():

@@ -1,9 +1,19 @@
+import random
+
 import pytest
 
+from tangles.abstract import finite_far_side
+from tangles.builtin import EXTRAS, SUITE
 from tangles.components import components
 from tangles.finite_tangles import separations_below_order
 from tangles.graphs import path_graph
-from tangles.sampling import random_separation
+from tangles.infinite_tangles import (
+    infinite_star_probe,
+    sample_star_in_tangle,
+    suite_tangles,
+    witness_candidates,
+)
+from tangles.sampling import random_level, random_selection, random_separation
 from tangles.schema import SchemaGraph, vertex_text
 from tangles.semilinear import SemilinearSet
 from tangles.separations import (
@@ -179,3 +189,83 @@ def test_corner_join_order_bound(schemas, rng):
         assert j.order <= s.order + t.order
         assert j.side_A == s.side_A | t.side_A
         assert j.side_B == s.side_B & t.side_B
+
+
+# -- same level: selections against the sides they stand for ---------------------
+
+
+def reference_sides(s):
+    """(A, B) from the definition: X with the other and with the selected components."""
+    X = SymVertexSet.of(s.schema, s.X)
+    return X | s.toB.complement().union_vertices(), X | s.toB.union_vertices()
+
+
+def reference_leq(s, t):
+    (a, b), (c, d) = reference_sides(s), reference_sides(t)
+    return a.issubset(c) and d.issubset(b)
+
+
+def reference_join(s, t):
+    (a, b), (c, d) = reference_sides(s), reference_sides(t)
+    return from_vertex_sides(s.schema, a | c, b & d)
+
+
+def reference_far_side_finite(star):
+    far = reference_sides(star[0])[1]
+    for s in star[1:]:
+        far = far & reference_sides(s)[1]
+    return far.is_finite
+
+
+def check_against_sides(seps):
+    for s in seps:
+        assert (s.side_A, s.side_B) == reference_sides(s)
+        # the member far side of ``axiom_check``
+        assert s.toB.union_vertices().is_finite == reference_sides(s)[1].is_finite
+    for s in seps:
+        for t in seps:
+            assert s.leq(t) == reference_leq(s, t), (s, t)
+            assert s.corner_join(t) == reference_join(s, t), (s, t)
+    assert finite_far_side(seps) == reference_far_side_finite(seps)
+
+
+@pytest.mark.parametrize("name", SUITE + EXTRAS)
+def test_same_level_algebra_matches_the_sides(schemas, name):
+    schema = schemas[name]
+    rng = random.Random(f"same-level {name}")
+    tangles = suite_tangles(schema)
+    for _ in range(6):
+        X = random_level(schema, rng)
+        cs = components(schema, X)
+        seps = [from_bipartition(schema, X, random_selection(cs, rng)) for _ in range(4)]
+        seps += [s.inverse() for s in seps[:2]]
+        seps.append(from_bipartition(schema, X, cs.select_all()))
+        check_against_sides(seps)
+    for t in tangles:
+        for _ in range(3):
+            star = sample_star_in_tangle(t, rng)
+            assert is_star(star)
+            check_against_sides(star)
+        for level in witness_candidates(schema):
+            cs = components(schema, level)
+            for cl in cs.classes:
+                if not cl.indices.is_infinite:
+                    continue
+                probe = infinite_star_probe(t, level, cl.family)
+                rest = cl.indices - SemilinearSet.of(cl.indices.min_value())
+                rest_copies = cs.selection(class_parts={cl.family: rest})
+                far = reference_sides(from_bipartition(schema, level, rest_copies))[1]
+                assert probe["far_side_finite"] == (far - rest_copies.union_vertices()).is_finite
+
+
+@pytest.mark.parametrize("name", SUITE + EXTRAS)
+def test_cross_level_algebra_matches_the_sides(schemas, name):
+    schema = schemas[name]
+    rng = random.Random(f"cross-level {name}")
+    for _ in range(8):
+        s, t = random_separation(schema, rng), random_separation(schema, rng)
+        if s.X == t.X:
+            continue
+        assert s.leq(t) == reference_leq(s, t)
+        assert s.corner_join(t) == reference_join(s, t)
+        assert finite_far_side([s, t]) == reference_far_side_finite([s, t])
