@@ -19,7 +19,7 @@ from __future__ import annotations
 import operator
 from functools import reduce
 
-from .separations import OrientedSeparation, from_vertex_sides, is_star
+from .separations import OrientedSeparation, is_star
 
 
 def star_supremum(star: list[OrientedSeparation]) -> OrientedSeparation:
@@ -72,13 +72,9 @@ def observation_check(tangle, stars: list[list[OrientedSeparation]]) -> dict:
 
 
 def padding_probe(sep: OrientedSeparation) -> dict:
-    """The two-element star {(A,B), (B, A u X)} has supremum (V, X), whose
-    inverse is small; its far sides meet in the finite separator."""
-    schema = sep.schema
-    padded_inverse = from_vertex_sides(
-        schema, sep.side_B, sep.side_A | sep.separator_set
-    )
-    star = [sep, padded_inverse]
+    """The two-element star {(A,B), (B,A)} has supremum (V, X), whose
+    inverse is small; its far sides meet in the finite separator X."""
+    star = [sep, sep.inverse()]
     assert is_star(star)
     sup = star_supremum(star)
     return {

@@ -13,11 +13,11 @@ node per untouched copy class (``fclass``) and one remainder per clique
 (``crem``).  A copy class splits into per-index components exactly when
 its node is isolated after deleting X; the walk starts with X seen.  A
 part node carries a raw part (``SymVertexSet.ray_tail_part`` and its
-siblings: canonical slot patterns, and a ray-family tail's holes).  One
-assembler builds every vertex set, here and in ``SymVertexSet.of``: it
-reads a component's nodes in one pass (``SymVertexSet.assemble``).
-Concretes are ordered by their text, compared on first bits where
-those decide it (``_text_order``).
+siblings: canonical slot patterns; a ray-family tail is its copy's bit
+and its leg's positions).  One assembler builds every vertex set, here
+and in ``SymVertexSet.of``: it reads a component's nodes in one pass
+(``SymVertexSet.assemble``).  Concretes are ordered by their text,
+compared on first bits where those decide it (``_text_order``).
 
 This module is the one place that reads how parts attach.  Each class
 records ``attach``, the neighbourhood of every copy (its node's quotient
@@ -50,7 +50,7 @@ import re
 from itertools import chain, zip_longest
 from dataclasses import dataclass, field
 
-from .semilinear import ResourceGuardError, SemilinearSet, from_pattern, parse_nat
+from .semilinear import ResourceGuardError, SemilinearSet, from_pattern, parse_nat, text_patterns
 from .schema import SchemaGraph, Vertex, parse_level
 from .symsets import SymVertexSet, union_all
 
@@ -292,7 +292,7 @@ class ComponentSelection:
             raise ValueError(f"bad selection text {text!r}")
         body = text[1:-1].strip()
         flags = [False] * len(cs.concretes)
-        parts = {c.family: SemilinearSet.empty() for c in cs.classes}
+        raw = {c.family: [] for c in cs.classes}  # each family's item patterns
         # split on commas not inside braces, visiting only the punctuation
         items, depth, start = [], 0, 0
         for m in _SELECTION_PUNCT.finditer(body):
@@ -310,9 +310,9 @@ class ComponentSelection:
                 continue
             if "{" in item:
                 fam, sls = item.split("{", 1)
-                if fam not in parts:
+                if fam not in raw:
                     raise ValueError(f"no component class {fam!r}")
-                parts[fam] |= SemilinearSet.parse("{" + sls)
+                raw[fam] += text_patterns("{" + sls)
             elif item.startswith("c"):
                 k = parse_nat(item[1:], "concrete component number")
                 if k >= len(flags):
@@ -320,6 +320,7 @@ class ComponentSelection:
                 flags[k] = True
             else:
                 raise ValueError(f"bad selection item {item!r}")
+        parts = {fam: SemilinearSet.union_patterns(ps) for fam, ps in raw.items() if ps}
         return cs.selection(
             concretes=[k for k, f in enumerate(flags) if f], class_parts=parts
         )

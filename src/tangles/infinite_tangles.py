@@ -57,7 +57,7 @@ class End:
         """Whether the end lives in the vertex set: it holds a tail of the
         end's rays, of its leg, or infinitely many clique vertices."""
         if self.kind == "leg":
-            return vs.copy_cofinitely_in(*self.copy)
+            return self.index in vs.whole_set(self.names[0])
         slot = vs.ray_set if self.kind == "rays" else vs.cliq_set
         return slot(self.names[0]).is_infinite
 

@@ -40,8 +40,8 @@ from math import lcm
 # Widest aligned pattern (threshold + period, in bits) an operation builds.
 WIDTH_CAP = 1 << 20
 
-_NAT_RE = re.compile(r"[0-9]+")
-_PROG_RE = re.compile(r"([0-9]+)\+([0-9]+)t")
+_NAT_RE = re.compile(r"0|[1-9][0-9]*")
+_PROG_RE = re.compile(r"(0|[1-9][0-9]*)\+(0|[1-9][0-9]*)t")
 
 
 class ResourceGuardError(RuntimeError):
@@ -49,9 +49,10 @@ class ResourceGuardError(RuntimeError):
 
 
 def parse_nat(text: str, what: str) -> int:
-    """The natural number that ``text`` writes in ASCII decimal digits.  Any
-    other text, even one ``int`` reads (``1_0``, ``+4``, non-ASCII digits),
-    is a ValueError naming it as a ``what``, so each number has one text."""
+    """The natural number that ``text`` writes in ASCII decimal digits with
+    no leading zero.  Any other text, even one ``int`` reads (``1_0``,
+    ``+4``, ``007``, non-ASCII digits), is a ValueError naming it as a
+    ``what``, so each number has one text."""
     if not _NAT_RE.fullmatch(text):
         raise ValueError(f"bad {what} {text!r}")
     return int(text)
@@ -116,6 +117,27 @@ def all_but_pattern(xs) -> tuple[int, int, int, int]:
     """All naturals outside the finite set ``xs``."""
     t, _, low, _ = points_pattern(xs)
     return t, 1, ~low & ((1 << t) - 1), 1
+
+
+def text_patterns(s: str) -> list[tuple[int, int, int, int]]:
+    """The patterns of a set's text ``{...}``, not yet united: their union
+    is :meth:`SemilinearSet.parse` of the text."""
+    s = s.strip()
+    if not (s.startswith("{") and s.endswith("}")):
+        raise ValueError(f"bad semilinear text: {s!r}")
+    body = s[1:-1].strip()
+    explicit, progs = [], []
+    if body:
+        for item in body.split(","):
+            item = item.strip()
+            m = _PROG_RE.fullmatch(item)
+            if m:
+                progs.append((int(m.group(1)), int(m.group(2)), 0, 1))
+            else:
+                explicit.append(parse_nat(item, "index item"))
+    if any(p[1] < 1 for p in progs):
+        raise ValueError("bad progression")
+    return [points_pattern(explicit), *progs]
 
 
 @dataclass(frozen=True)
@@ -302,20 +324,7 @@ class SemilinearSet:
 
     @classmethod
     def parse(cls, s: str) -> "SemilinearSet":
-        s = s.strip()
-        if not (s.startswith("{") and s.endswith("}")):
-            raise ValueError(f"bad semilinear text: {s!r}")
-        body = s[1:-1].strip()
-        explicit, progs = [], []
-        if body:
-            for item in body.split(","):
-                item = item.strip()
-                m = _PROG_RE.fullmatch(item)
-                if m:
-                    progs.append((int(m.group(1)), int(m.group(2))))
-                else:
-                    explicit.append(parse_nat(item, "index item"))
-        return cls.make(explicit, progs)
+        return cls.union_patterns(text_patterns(s))
 
     def __repr__(self) -> str:
         return f"SemilinearSet({self.text()})"

@@ -83,14 +83,6 @@ class OrientedSeparation:
             self.schema, self.side_A | other.side_A, self.side_B & other.side_B
         )
 
-    def restrict(self, Z) -> tuple[frozenset[Vertex], frozenset[Vertex]]:
-        """Induced separation (A n Z, B n Z) of the finite induced subgraph."""
-        Z = self.schema.check_vertices(Z)
-        return (
-            frozenset(v for v in Z if v in self.side_A),
-            frozenset(v for v in Z if v in self.side_B),
-        )
-
     def flip_finite(self, moved: ComponentSelection) -> "OrientedSeparation":
         """Move a finite sub-collection of components to the other side."""
         if not moved.count_is_finite or not moved.union_vertices().is_finite:

@@ -1,35 +1,35 @@
 """Symbolic vertex sets over a schema, closed under exact boolean algebra.
 
-A set is stored as three things:
+A set is stored as two things:
 
 * ``core``, the finite set of its core vertices;
-* ``slots``, one index set per slot, sorted by key, empty slots left out.
-  The slots are ``("ray", R)`` (positions of ray R), ``("cliq", K)``
-  (indices of clique K), ``("fam", F, pv)`` (the copies of a
-  finite-pattern family F whose pattern vertex ``pv`` is a member) and
-  ``("fam", F)`` (the copies of a ray family F that are members
-  cofinitely);
-* ``flips``, a finite set of ray-family vertices whose membership differs
-  from their copy's slot: ``("fam", F, i, p)`` is a member exactly when
-  ``(i in slot) != (vertex in flips)``.
+* ``slots``, one index set per slot, sorted by key.  The slots are
+  ``("ray", R)`` (positions of ray R), ``("cliq", K)`` (indices of
+  clique K), ``("fam", F, pv)`` (the copies of a finite-pattern family F
+  whose pattern vertex ``pv`` is a member), ``("fam", F)`` (the copies of
+  a ray family F that are members cofinitely) and ``("leg", F, i)`` (the
+  positions of copy i of a ray family F).
 
-Every other vertex is a member exactly when its index (position, clique
-index or copy number) lies in its slot, so the form is canonical and
-equality decides set equality.  Union, intersection, difference and
-complement are one index-set operation per slot; only the flipped
-vertices are looked up one by one.
+Every non-core vertex is a member exactly when its index (position,
+clique index or copy number; a position for a ray-family vertex
+``("fam", F, i, p)``) lies in its slot.  A slot is listed only where it
+differs from its default: the empty set, except for a leg, whose default
+is every position when its copy lies in ``("fam", F)``.  A listed leg is
+therefore finite (its copy outside ``("fam", F)``) or cofinite (inside),
+the form is canonical and equality decides set equality.  Union,
+intersection, difference and complement are one index-set operation per
+slot, an unlisted leg read as its default.
 
 ``assemble`` builds a set from explicit vertices and raw parts in one pass:
-a core vertex gives its name, a ray, clique or finite-family vertex one bit
-of its slot's mask, a ray-family vertex a flip candidate, and a part its
-slot patterns and holes.  A family's slot keys come from the schema's
+a core vertex gives its name, any other vertex one bit of its slot's mask,
+and a part its slot patterns.  A family's slot keys come from the schema's
 ``family_slots`` table.
 
 The slots of one finite-pattern family differ in finitely many copies.
 The text form prints the copies in all of a family's slots (its whole
 copies) as ``fam:F{...}``, the other members of those slots and the
-flips outside their copy's slot as ``+{...}``, and the holes of whole
-ray-family copies as ``-{...}``.
+members of finite legs as ``+{...}``, and the positions missing from
+cofinite legs (the holes of whole ray-family copies) as ``-{...}``.
 """
 
 from __future__ import annotations
@@ -42,13 +42,21 @@ from .semilinear import SemilinearSet, all_but_pattern, from_pattern, guard_widt
 from .schema import SchemaGraph, Vertex, vertex_sort_key, vertex_text
 
 _EMPTY = SemilinearSet.empty()
+_NAT = SemilinearSet.naturals()
 
 
-def _slot_key(schema: SchemaGraph, v: Vertex) -> tuple:
-    """The slot of a non-core vertex; its index in the slot is ``v[2]``."""
-    if v[0] == "fam" and not schema.family_spec(v[1]).is_ray_family:
-        return ("fam", v[1], v[3])
-    return v[:2]
+def _slot_of(schema: SchemaGraph, v: Vertex) -> tuple[tuple, int]:
+    """The slot of a non-core vertex and its index in the slot."""
+    if v[0] == "fam" and schema.family_spec(v[1]).is_ray_family:
+        return ("leg", v[1], v[2]), v[3]
+    return v[:2] + v[3:], v[2]
+
+
+def _vertex(key: tuple, i: int) -> Vertex:
+    """The vertex at index ``i`` of slot ``key``."""
+    if key[0] == "leg":
+        return ("fam", key[1], key[2], i)
+    return key[:2] + (i,) + key[2:]
 
 
 def _holds_rays(key: tuple) -> bool:
@@ -56,12 +64,11 @@ def _holds_rays(key: tuple) -> bool:
     return key[0] == "fam" and len(key) == 2
 
 
-def _flips(slots: dict, loose, inside) -> frozenset[Vertex]:
-    """The ray-family vertices of ``loose`` whose membership (lying in
-    ``inside``) differs from their copy's slot."""
-    if not loose:
-        return frozenset()
-    return frozenset(v for v in loose if (v in inside) != (v[2] in slots.get(v[:2], _EMPTY)))
+def _default(slots: dict, key: tuple) -> SemilinearSet:
+    """An unlisted slot: every position for a leg whose copy is in ``("fam", F)``, else empty."""
+    if key[0] == "leg" and key[2] in slots.get(("fam", key[1]), _EMPTY):
+        return _NAT
+    return _EMPTY
 
 
 @dataclass(frozen=True)
@@ -69,14 +76,17 @@ class SymVertexSet:
     schema: SchemaGraph = field(compare=False, repr=False)
     core: frozenset[str]
     slots: tuple[tuple[tuple, SemilinearSet], ...]
-    flips: frozenset[Vertex]
 
     # -- construction ----------------------------------------------------
 
     @classmethod
-    def _build(cls, schema: SchemaGraph, core, slots: dict, flips) -> "SymVertexSet":
-        slots = sorted((k, s) for k, s in slots.items() if not s.is_empty)
-        return cls(schema, frozenset(core), tuple(slots), frozenset(flips))
+    def _build(cls, schema: SchemaGraph, core, slots: dict) -> "SymVertexSet":
+        """The set of ``core`` and ``slots``, each slot at its default left out."""
+        listed = sorted(
+            (k, s) for k, s in slots.items()
+            if (s != _default(slots, k) if k[0] == "leg" else not s.is_empty)
+        )
+        return cls(schema, frozenset(core), tuple(listed))
 
     @classmethod
     def make(
@@ -99,21 +109,11 @@ class SymVertexSet:
         slots |= {("cliq", n): s for n, s in dict(cliq_idx).items()}
         for n, s in dict(fam_whole).items():
             slots |= dict.fromkeys(schema.family_slots[n], s)
-        loose, edits = set(), {}
-        for v in plus | minus:
-            key = _slot_key(schema, v)
-            if _holds_rays(key):
-                loose.add(v)
-            else:
-                edits.setdefault(key, ([], []))[v in minus].append(v[2])
-        for key, (add, drop) in edits.items():
-            got = slots.get(key, _EMPTY) | SemilinearSet.make(add)
-            slots[key] = got - SemilinearSet.make(drop)
-        return cls._build(schema, core, slots, _flips(slots, loose, plus))
+        return (cls._build(schema, core, slots) | cls.of(schema, plus)) - cls.of(schema, minus)
 
     @classmethod
     def empty(cls, schema: SchemaGraph) -> "SymVertexSet":
-        return cls(schema, frozenset(), (), frozenset())
+        return cls(schema, frozenset(), ())
 
     @classmethod
     def of(cls, schema: SchemaGraph, vertices) -> "SymVertexSet":
@@ -122,27 +122,22 @@ class SymVertexSet:
     @classmethod
     def assemble(cls, schema: SchemaGraph, nodes, parts: dict) -> "SymVertexSet":
         """The union of ``nodes``, each an explicit vertex (not validated) or
-        a key of ``parts``, in one pass.  A core vertex adds its name; a ray,
-        clique or finite-family vertex sets its index bit in its slot's mask;
-        a ray-family vertex is a flip candidate; a part adds its patterns and
-        holes.  A slot of bits alone or of one pattern alone is canonical as
-        it stands; any other is one index-set union."""
-        core, bits, raw, inside, holes = [], {}, {}, [], []
+        a key of ``parts``, in one pass.  A core vertex adds its name; any
+        other vertex sets its index bit in its slot's mask; a part adds its
+        patterns.  A slot of bits alone or of one pattern alone is canonical
+        as it stands; any other is one index-set union."""
+        core, bits, raw = [], {}, {}
         for v in nodes:
             tag = v[0]
             if tag == "core":
                 core.append(v[1])
-            elif tag == "fam" and _holds_rays(schema.family_slots[v[1]][0]):
-                inside.append(v)
             elif tag in ("ray", "cliq", "fam"):
-                guard_width(v[2] + 1)
-                key = v[:2] + v[3:]
-                bits[key] = bits.get(key, 0) | 1 << v[2]
+                key, i = _slot_of(schema, v)
+                guard_width(i + 1)
+                bits[key] = bits.get(key, 0) | 1 << i
             else:
-                pairs, part_holes = parts[v]
-                for key, pattern in pairs:
+                for key, pattern in parts[v]:
                     raw.setdefault(key, []).append(pattern)
-                holes += part_holes
         slots = {}
         for key, mask in bits.items():
             pattern = (mask.bit_length(), 1, mask, 0)
@@ -152,47 +147,49 @@ class SymVertexSet:
                 slots[key] = SemilinearSet(*pattern)
         for key, ps in raw.items():
             slots[key] = SemilinearSet(*ps[0]) if len(ps) == 1 else SemilinearSet.union_patterns(ps)
-        return cls._build(schema, core, slots, _flips(slots, inside + holes, set(inside)))
+        return cls._build(schema, core, slots)
 
-    # A part for ``assemble`` is a pair: its slot patterns, as ``(key,
-    # pattern)`` with a canonical ``semilinear`` pattern, and the ray-family
-    # vertices it leaves out of its copies.
+    # A part for ``assemble`` is its slot patterns, as ``(key, pattern)``
+    # pairs with a canonical ``semilinear`` pattern.
 
     @staticmethod
     def ray_tail_part(ray: str, from_pos: int) -> tuple:
         """The positions of a ray from ``from_pos`` on."""
-        return (((("ray", ray), from_pattern(from_pos)),), ())
+        return ((("ray", ray), from_pattern(from_pos)),)
 
     @staticmethod
     def copies_part(schema: SchemaGraph, fam: str, from_copy: int) -> tuple:
         """The whole copies of a family from ``from_copy`` on."""
         pattern = from_pattern(from_copy)
-        return tuple((key, pattern) for key in schema.family_slots[fam]), ()
+        return tuple((key, pattern) for key in schema.family_slots[fam])
 
     @staticmethod
     def copy_tail_part(fam: str, copy: int, from_pos: int) -> tuple:
         """A ray-family copy minus its first ``from_pos`` positions."""
-        holes = tuple(("fam", fam, copy, p) for p in range(from_pos))
-        return (((("fam", fam), points_pattern((copy,))),), holes)
+        return (("fam", fam), points_pattern((copy,))), (("leg", fam, copy), from_pattern(from_pos))
 
     @staticmethod
     def clique_rest_part(clique: str, gone) -> tuple:
         """The vertices of a clique outside the indices ``gone``."""
-        return (((("cliq", clique), all_but_pattern(gone)),), ())
+        return ((("cliq", clique), all_but_pattern(gone)),)
 
     @classmethod
     def whole_copies(cls, schema: SchemaGraph, fam: str, indices: SemilinearSet) -> "SymVertexSet":
-        return cls.make(schema, fam_whole={fam: indices})
+        return cls._build(schema, (), dict.fromkeys(schema.family_slots[fam], indices))
 
     @classmethod
     def clique_part(cls, schema: SchemaGraph, clique: str, indices: SemilinearSet) -> "SymVertexSet":
-        return cls.make(schema, cliq_idx={clique: indices})
+        return cls._build(schema, (), {("cliq", clique): indices})
 
     # -- lookups ---------------------------------------------------------
 
     @cached_property
     def _slot(self) -> dict[tuple, SemilinearSet]:
         return dict(self.slots)
+
+    def _get(self, key: tuple) -> SemilinearSet:
+        """A slot's index set, read as its default when it is not listed."""
+        return self._slot.get(key) or _default(self._slot, key)
 
     @cached_property
     def _wholes(self) -> dict[str, SemilinearSet]:
@@ -216,12 +213,14 @@ class SymVertexSet:
         """The family vertices outside whole copies, and the holes of whole
         ray-family copies."""
         plus, minus = [], []
-        for v in self.flips:
-            (minus if v[2] in self._slot.get(v[:2], _EMPTY) else plus).append(v)
         for key, s in self.slots:
-            if key[0] == "fam" and not _holds_rays(key):
-                rest = s - self.whole_set(key[1])
-                plus += [("fam", key[1], i, key[2]) for i in rest.elements_below(rest.bound)]
+            if key[0] == "leg":
+                out, s = (plus, s) if s.is_finite else (minus, s.complement())
+            elif key[0] == "fam" and not _holds_rays(key):
+                out, s = plus, s - self.whole_set(key[1])
+            else:
+                continue
+            out += [_vertex(key, i) for i in s.elements_below(s.bound)]
         return plus, minus
 
     def ray_set(self, name: str) -> SemilinearSet:
@@ -236,11 +235,12 @@ class SymVertexSet:
     def __contains__(self, v: Vertex) -> bool:
         if v[0] == "core":
             return v[1] in self.core
-        return (v[2] in self._slot.get(_slot_key(self.schema, v), _EMPTY)) != (v in self.flips)
+        key, i = _slot_of(self.schema, v)
+        return i in self._get(key)
 
     @property
     def is_empty(self) -> bool:
-        return not self.core and not self.slots and not self.flips
+        return not self.core and not self.slots
 
     @property
     def is_finite(self) -> bool:
@@ -253,12 +253,16 @@ class SymVertexSet:
 
     def full_copy_indices(self, fam: str) -> SemilinearSet:
         """Indices whose copy is included with no holes."""
-        holed = [v[2] for v in self.flips if v[1] == fam]
+        legs = [key[2] for key, _ in self.slots if key[0] == "leg" and key[1] == fam]
         w = self.whole_set(fam)
-        return w - SemilinearSet.make(holed) if holed else w
+        return w - SemilinearSet.make(legs) if legs else w
 
-    def copy_cofinitely_in(self, fam: str, copy: int) -> bool:
-        return copy in self.whole_set(fam)
+    def depth(self) -> int:
+        """The depth of the deepest vertex of a finite set (0 when empty)."""
+        if not self.is_finite:
+            raise ValueError("set is infinite")
+        legs = [key[2] for key, _ in self.slots if key[0] == "leg"]
+        return max([s.bound - 1 for _, s in self.slots] + legs, default=0)
 
     # -- algebra ---------------------------------------------------------
 
@@ -269,11 +273,9 @@ class SymVertexSet:
     def _merge(self, other: "SymVertexSet", op) -> "SymVertexSet":
         """Apply ``op`` (``operator.or_``, ``and_`` or ``sub``) slot by slot."""
         self._check(other)
-        a, b = self._slot, other._slot
-        slots = {k: op(a.get(k, _EMPTY), b.get(k, _EMPTY)) for k in a.keys() | b.keys()}
-        loose = self.flips | other.flips
-        inside = op({v for v in loose if v in self}, {v for v in loose if v in other})
-        return SymVertexSet._build(self.schema, op(self.core, other.core), slots, _flips(slots, loose, inside))
+        keys = self._slot.keys() | other._slot.keys()
+        slots = {k: op(self._get(k), other._get(k)) for k in keys}
+        return SymVertexSet._build(self.schema, op(self.core, other.core), slots)
 
     def union(self, other: "SymVertexSet") -> "SymVertexSet":
         return self._merge(other, operator.or_)
@@ -285,12 +287,13 @@ class SymVertexSet:
         return self._merge(other, operator.sub)
 
     def complement(self) -> "SymVertexSet":
-        # complementing every slot keeps each flip a flip
+        # a listed leg stays listed: its default is complemented with it
         sch = self.schema
         keys = [("ray", r.name) for r in sch.rays] + [("cliq", c.name) for c in sch.cliques]
         keys += [k for fam in sch.family_slots.values() for k in fam]
-        slots = {k: self._slot.get(k, _EMPTY).complement() for k in keys}
-        return SymVertexSet._build(sch, sch.core.vertices - self.core, slots, self.flips)
+        keys += [k for k, _ in self.slots if k[0] == "leg"]
+        slots = {k: self._get(k).complement() for k in keys}
+        return SymVertexSet._build(sch, sch.core.vertices - self.core, slots)
 
     __or__ = union
     __and__ = intersection
@@ -308,21 +311,22 @@ class SymVertexSet:
         """All vertices; requires the set to be finite."""
         if not self.is_finite:
             raise ValueError("set is infinite")
-        out: list[Vertex] = [("core", x) for x in self.core] + list(self.flips)
+        out: list[Vertex] = [("core", x) for x in self.core]
         for key, s in self.slots:
-            out += [key[:2] + (i,) + key[2:] for i in s.elements_below(s.bound)]
+            out += [_vertex(key, i) for i in s.elements_below(s.bound)]
         return sorted(out, key=vertex_sort_key)
 
     def explicit_below(self, n: int) -> set[Vertex]:
         """Intersection with the depth-n truncation's vertex set."""
         out: set[Vertex] = {("core", x) for x in self.core}
         for key, s in self.slots:
-            for i in s.elements_below(n):
-                if _holds_rays(key):
-                    out |= {key + (i, p) for p in range(n)}
-                else:
-                    out.add(key[:2] + (i,) + key[2:])
-        out ^= {v for v in self.flips if v[2] < n and v[3] < n}
+            if _holds_rays(key):
+                # a listed leg gives the copy's positions itself
+                for i in s.elements_below(n):
+                    if ("leg", key[1], i) not in self._slot:
+                        out |= {key + (i, p) for p in range(n)}
+            elif key[0] != "leg" or key[2] < n:
+                out |= {_vertex(key, i) for i in s.elements_below(n)}
         return out
 
     def some_vertex(self) -> Vertex:
@@ -340,10 +344,7 @@ class SymVertexSet:
             i = w.min_value()
             if not f.is_ray_family:
                 return ("fam", n, i, f.pattern_vertices()[0])
-            p = 0
-            while ("fam", n, i, p) in self.flips:
-                p += 1
-            return ("fam", n, i, p)
+            return ("fam", n, i, self._get(("leg", n, i)).min_value())
         for key, s in self.slots:
             if key[0] == "cliq":
                 return ("cliq", key[1], s.min_value())
@@ -387,8 +388,9 @@ def union_all(schema: SchemaGraph, sets) -> SymVertexSet:
     for s in sets:
         for k, x in s.slots:
             by_slot.setdefault(k, []).append(x)
+    for k, xs in by_slot.items():
+        if k[0] == "leg":  # the sets that do not list a leg hold its default
+            xs += [s._get(k) for s in sets if k not in s._slot]
     slots = {k: SemilinearSet.union_all(xs) for k, xs in by_slot.items()}
-    loose = frozenset().union(*(s.flips for s in sets))
-    inside = {v for v in loose if any(v in s for s in sets)}
     core = frozenset().union(*(s.core for s in sets))
-    return SymVertexSet._build(schema, core, slots, _flips(slots, loose, inside))
+    return SymVertexSet._build(schema, core, slots)

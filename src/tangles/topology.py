@@ -26,8 +26,8 @@ from .infinite_tangles import (
     limit_from,
     tangle_from_limit,
 )
-from .schema import SchemaGraph, Vertex, level_text, vertex_sort_key, vertex_text
-from .semilinear import ResourceGuardError, SemilinearSet
+from .schema import SchemaGraph, Vertex, level_text, vertex_text
+from .semilinear import ResourceGuardError
 from .separations import OrientedSeparation, from_bipartition
 from .symsets import SymVertexSet, union_all
 from .ultrafilters import LazyCore, UltrafilterHandle, principal_at
@@ -181,8 +181,9 @@ def level_member(tangle: Tangle, n: int, k: SymVertexSet) -> OrientedSeparation:
 def closure_probe(tangle: Tangle, sep: OrientedSeparation, schedule) -> dict:
     """Limit-point evidence for a non-member separation.
 
-    Each probe set Z is read once, for ``sep``'s trace (A n Z, B n Z) and
-    Z's kernel vertices, and gets one evidence entry whose ``result`` is:
+    Each probe set Z is read once as one vertex set, for ``sep``'s trace
+    (A n Z, B n Z) and Z's kernel vertices K n Z, each one set operation,
+    and gets one evidence entry whose ``result`` is:
 
     - ``agreeing_member``: a canonical move gave a tangle member with the
       same trace, printed as ``member``.  One move pushes the near-side
@@ -201,20 +202,21 @@ def closure_probe(tangle: Tangle, sep: OrientedSeparation, schedule) -> dict:
         raise ValueError("probe expects a non-member separation")
     k = kernel(tangle)
     evidence = []
-    for Z in schedule:
-        Z = frozenset(Z)
-        if len(Z) > QUOTIENT_CAP:
+    for level in schedule:
+        level = frozenset(level)
+        if len(level) > QUOTIENT_CAP:
             raise ResourceGuardError(
-                f"probe level of {len(Z)} vertices exceeds the cap of {QUOTIENT_CAP}"
+                f"probe level of {len(level)} vertices exceeds the cap of {QUOTIENT_CAP}"
             )
-        trace = sep.restrict(Z)
-        kz = frozenset(z for z in Z if z in k)
-        entry = {"Z": sorted(map(vertex_text, Z))}
+        entry = {"Z": sorted(map(vertex_text, level))}
+        Z = SymVertexSet.of(tangle.schema, level)
+        trace = (sep.side_A & Z, sep.side_B & Z)
+        kz = k & Z
         blocked = (trace[0] - trace[1]) & kz
-        if blocked and k.is_infinite:
+        if not blocked.is_empty and k.is_infinite:
             entry |= {
                 "result": "no_agreeing_member",
-                "kernel_vertex": vertex_text(min(blocked, key=vertex_sort_key)),
+                "kernel_vertex": vertex_text(blocked.to_explicit()[0]),
             }
         elif (member := _agreeing_member(tangle, sep, Z, trace, k, kz)) is not None:
             entry |= {"result": "agreeing_member", "member": member.text()}
@@ -239,7 +241,7 @@ def _agreeing_member(tangle, sep, Z, trace, k, kz) -> OrientedSeparation | None:
     )
     for move in moves:
         cand = move()
-        if cand is not None and in_tangle(tangle, cand) and cand.restrict(Z) == trace:
+        if cand is not None and in_tangle(tangle, cand) and (cand.side_A & Z, cand.side_B & Z) == trace:
             return cand
     return None
 
@@ -248,16 +250,15 @@ def _component_move(tangle, sep, Z) -> OrientedSeparation | None:
     """Push every near-side component that avoids Z across to the far side."""
     cs = sep.toB.cs
     near = sep.toB.complement()
-    flags = []
-    for kk, c in enumerate(cs.concretes):
-        if near.concrete_flags[kk] and not any(z in c.vertices for z in Z):
-            flags.append(kk)
-    parts = {}
-    for cl, part in zip(cs.classes, near.class_parts):
-        touching = SemilinearSet.make(
-            {z[2] for z in Z if z[0] == "fam" and z[1] == cl.family}
-        )
-        parts[cl.family] = part - touching
+    flags = [
+        kk for kk, c in enumerate(cs.concretes)
+        if near.concrete_flags[kk] and c.vertices.isdisjoint(Z)
+    ]
+    outside = Z.complement()
+    parts = {
+        cl.family: part & outside.full_copy_indices(cl.family)
+        for cl, part in zip(cs.classes, near.class_parts)
+    }
     moved = cs.selection(concretes=flags, class_parts=parts)
     if moved.is_empty:
         return None
@@ -273,11 +274,10 @@ def _kernel_move(tangle, Z, trace, k, kz) -> OrientedSeparation | None:
     member itself, since K lies in its separator.)"""
     if tangle.kind != "end" or not k.is_finite or trace != (Z, kz):
         return None
-    schema = tangle.schema
     if kz == Z:
         kx = frozenset(k.to_explicit())
-        return from_bipartition(schema, kx, components(schema, kx).select_all())
-    return level_member(tangle, 2 + max(schema.depth(z) for z in Z), k)
+        return from_bipartition(tangle.schema, kx, components(tangle.schema, kx).select_all())
+    return level_member(tangle, 2 + Z.depth(), k)
 
 
 def nonclosed_witness_separation(tangle: Tangle) -> OrientedSeparation:

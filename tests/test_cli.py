@@ -299,6 +299,13 @@ def test_unknown_builtin_is_bad_input(capsys):
          "bad concrete component number '\u0661'"),
         (["orient", "builtin:spider", "--tangle", "end:L:1_0", "--sep", "sep X={core:c} B={L{0}}"],
          "bad leg index '1_0'"),
+        (["uf", "builtin:star", "--at", "core:c", "--query", "{L{007}}"], "bad index item '007'"),
+        (["uf", "builtin:star", "--at", "core:c", "--query", "{L{05+2t}}"], "bad index item '05+2t'"),
+        (["uf", "builtin:ray", "--at", "ray:R:05"], "bad vertex text 'ray:R:05'"),
+        (["orient", "builtin:ray", "--tangle", "end:R", "--sep", "sep X={ray:R:5} B={c01}"],
+         "bad concrete component number '01'"),
+        (["orient", "builtin:spider", "--tangle", "end:L:01", "--sep", "sep X={core:c} B={L{0}}"],
+         "bad leg index '01'"),
     ],
 )
 def test_number_aliases_are_bad_input(capsys, argv, message):

@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 from components_reference import ray_tail
+from topology_reference import restrict
 
 from tangles.builtin import EXTRAS, SUITE, schema_text
 from tangles.components import ComponentSelection, components
@@ -490,9 +491,9 @@ def test_restriction_to_a_union_determines_the_parts(schemas, rng):
         s = random_separation(spider, rng)
         z1 = random_level(spider, rng, 3)
         z2 = random_level(spider, rng, 3)
-        a, b = s.restrict(z1 | z2)
-        assert s.restrict(z1) == (a & z1, b & z1)
-        assert s.restrict(z2) == (a & z2, b & z2)
+        a, b = restrict(s, z1 | z2)
+        assert restrict(s, z1) == (a & z1, b & z1)
+        assert restrict(s, z2) == (a & z2, b & z2)
 
 
 def test_sampled_stars_are_stars_inside_the_tangle(schemas, rng):

@@ -138,7 +138,8 @@ def test_vertex_text_roundtrip(schemas):
 @pytest.mark.parametrize(
     "name, text",
     [("ray", "ray:R:1_0"), ("ray", "ray:R:+1"), ("ray", "ray:R:\u0661"),
-     ("cliq", "cliq:K:0_1"), ("star", "fam:L:\u0663:p"), ("spider", "fam:L:0:1_0")],
+     ("cliq", "cliq:K:0_1"), ("star", "fam:L:\u0663:p"), ("spider", "fam:L:0:1_0"),
+     ("ray", "ray:R:05"), ("cliq", "cliq:K:00"), ("star", "fam:L:01:p"), ("spider", "fam:L:0:007")],
 )
 def test_vertex_indices_are_ascii_decimals(schemas, name, text):
     with pytest.raises(ValueError, match=re.escape(f"bad vertex text {text!r}")):

@@ -66,9 +66,11 @@ def test_parse_roundtrip():
         SemilinearSet.parse("0,1")
 
 
-@pytest.mark.parametrize("item", ["1_0", "+4", "\u0663+2t", "3+\u0662t", "1_0+2t", "2+3", "-1"])
+@pytest.mark.parametrize(
+    "item", ["1_0", "+4", "\u0663+2t", "3+\u0662t", "1_0+2t", "2+3", "-1", "007", "05+2t", "5+02t"]
+)
 def test_parse_reads_only_ascii_decimals(item):
-    # int() reads 1_0, +4 and non-ASCII digits; a text has one reading
+    # int() reads 1_0, +4, 007 and non-ASCII digits; a text has one reading
     with pytest.raises(ValueError, match=re.escape(f"bad index item {item!r}")):
         SemilinearSet.parse("{0, " + item + "}")
 

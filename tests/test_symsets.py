@@ -99,7 +99,7 @@ def test_full_copy_indices_ignores_holed_copies():
         fam_minus={("fam", "L", 2, 0)},
     )
     assert s.full_copy_indices("L") == SemilinearSet.of(0, 1, 3)
-    assert s.copy_cofinitely_in("L", 2)
+    assert 2 in s.whole_set("L")
 
 
 def test_finite_pattern_partial_copies_canonicalise_to_plus():
@@ -126,6 +126,11 @@ def test_of_and_some_vertex():
     assert all(v in s for v in vs)
     assert s.some_vertex() == ("core", "c")
     assert sorted(s.to_explicit()) == sorted(vs)
+    assert s.depth() == 4 and SymVertexSet.empty(FAN).depth() == 0
+    deep = [("fam", "L", 3, 7), ("fam", "L", 9, 2), ("fam", "T", 5, "a"), ("cliq", "K", 6)]
+    assert SymVertexSet.of(MIXED, deep).depth() == max(map(MIXED.depth, deep)) == 9
+    with pytest.raises(ValueError):
+        SymVertexSet.whole_copies(MIXED, "L", SemilinearSet.of(0)).depth()
 
 
 def test_of_trips_the_width_guard_before_building_a_mask():
@@ -133,7 +138,10 @@ def test_of_trips_the_width_guard_before_building_a_mask():
 
     with pytest.raises(ResourceGuardError):
         SymVertexSet.of(FAN, [("ray", "R", 10**12)])
-    # a ray-family copy index is a flip, not a mask bit
+    # a ray-family position is a mask bit of its leg ...
+    with pytest.raises(ResourceGuardError):
+        SymVertexSet.of(MIXED, [("fam", "L", 0, WIDTH_CAP)])
+    # ... and its copy index names the leg, not a mask bit
     far = ("fam", "L", WIDTH_CAP, 0)
     assert far in SymVertexSet.of(MIXED, [far])
 
@@ -150,7 +158,7 @@ def test_raw_parts_are_canonical_alone(rng):
             SymVertexSet.copy_tail_part("L", a, b),
             SymVertexSet.clique_rest_part("K", gone),
         ]
-        for pairs, _ in parts:
+        for pairs in parts:
             for _, p in pairs:
                 assert SemilinearSet(*p) == SemilinearSet.union_patterns([p]), p
 
@@ -218,6 +226,21 @@ def test_mixed_ops_match_pointwise_oracle(a, b, c):
     assert a.complement().explicit_below(n) == universe - ea
     assert union_all(MIXED, [a, b, c]).explicit_below(n) == ea | eb | ec
     assert all((v in a) == (v in ea) for v in universe)
+
+
+@given(mixed_sets(), mixed_sets())
+@settings(max_examples=150, deadline=None)
+def test_listed_legs_differ_from_their_default(a, b):
+    # a leg's default is every position when its copy lies in ("fam", F)
+    for s in (a, a.complement(), a | b, a & b, a - b):
+        whole = s.whole_set("L")
+        for key, leg in s.slots:
+            if key[0] != "leg":
+                continue
+            _, fam, i = key
+            assert fam == "L"
+            assert leg != (SemilinearSet.naturals() if i in whole else SemilinearSet.empty())
+            assert leg.is_finite == (i not in whole)
 
 
 def test_mixed_text_examples():

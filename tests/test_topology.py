@@ -9,7 +9,7 @@ import networkx as nx
 import pytest
 from dsl_reference import clique_block
 from nx_reference import to_networkx
-from topology_reference import kernel_join
+from topology_reference import kernel_join, restrict
 
 from tangles.components import components
 from tangles.infinite_tangles import (
@@ -26,6 +26,7 @@ from tangles.schema import parse_schema, vertex_text
 from tangles.builtin import builtin_names, load
 from tangles.semilinear import ResourceGuardError, SemilinearSet
 from tangles.separations import from_bipartition
+from tangles.symsets import SymVertexSet
 from tangles.topology import (
     basic_open,
     closure_probe,
@@ -132,8 +133,8 @@ def test_agree_on(schemas):
     s = nonclosed_witness_separation(t)  # (V, empty)
     m = level_member(t, 4, kernel(t))
     Z = [("ray", "R", 0), ("ray", "R", 1)]
-    assert s.restrict(Z) == m.restrict(Z)
-    assert s.restrict([("ray", "R", 5)]) != m.restrict([("ray", "R", 5)])
+    assert restrict(s, Z) == restrict(m, Z)
+    assert restrict(s, [("ray", "R", 5)]) != restrict(m, [("ray", "R", 5)])
 
 
 def test_kernel_values(schemas):
@@ -369,8 +370,8 @@ def test_kernel_move_is_the_corner_join_fold(schemas):
             probes = list(default_schedule(schema, 6)) + [frozenset(k.to_explicit())]
             probes += [frozenset(rng.sample(verts, rng.randint(0, min(8, len(verts))))) for _ in range(30)]
             for Z in probes:
-                kz = frozenset(z for z in Z if z in k)
-                got = _kernel_move(t, Z, s.restrict(Z), k, kz)
+                zs = SymVertexSet.of(schema, Z)
+                got = _kernel_move(t, zs, (s.side_A & zs, s.side_B & zs), k, k & zs)
                 assert got == kernel_join(t, Z), (t.id(), sorted(Z))
     assert ends == 9
 

@@ -1,12 +1,22 @@
 """The closure probe's kernel move as a corner-join fold: the member (K, V)
 joined with one member per probe vertex outside the finite kernel K, each
 cutting the end off two past the deepest probe vertex.  The engine returns
-the single member this fold always equals."""
+the single member this fold always equals.  ``restrict`` reads a
+separation's trace on a finite vertex set vertex by vertex."""
 
 from tangles.components import components
 from tangles.infinite_tangles import end_component
 from tangles.separations import from_bipartition
 from tangles.topology import kernel
+
+
+def restrict(sep, Z):
+    """Induced separation (A n Z, B n Z) of the finite induced subgraph."""
+    Z = sep.schema.check_vertices(Z)
+    return (
+        frozenset(v for v in Z if v in sep.side_A),
+        frozenset(v for v in Z if v in sep.side_B),
+    )
 
 
 def member_avoiding(tangle, z, n):
