@@ -211,10 +211,6 @@ def infinite_blocks(schema: SchemaGraph) -> list[dict]:
     cs = core_components(schema)
     blocks = []
     for c in schema.cliques:
-        k = next(k for k, comp in enumerate(cs.concretes) if c.name in comp.cliques)
-        blocks.append({
-            "clique": c.name,
-            "vertices": cs.dominators(("concrete", k)).text(),
-            "attached_cores": sorted(v[1] for v in cs.concretes[k].near),
-        })
+        dom = cs.dominators(cs.locate(("crem", c.name)))
+        blocks.append({"clique": c.name, "vertices": dom.text(), "attached_cores": sorted(dom.core)})
     return blocks

@@ -19,6 +19,15 @@ and in ``SymVertexSet.of``: it reads a component's nodes in one pass
 (``SymVertexSet.assemble``).  Concretes are ordered by their text,
 compared on first bits where those decide it (``_text_order``).
 
+Each concrete keeps the nodes its walk collected; ``ComponentSet.locate``
+looks a vertex or a node up among them.  A ray position past the explicit
+prefix goes to ``("rtail", R)``, a clique vertex to ``("crem", K)``, and a
+family vertex or ``("ftail", F, i)`` to copy i's tail where that node exists,
+else to class member i where F's class survives, else to ``("fclass", F)``.
+For X inside X' the bounds of X' (ray prefixes, copy counts, leg prefixes)
+are at least those of X, so each node of X' lies inside one node or
+component of X: ``locate`` of a node of X' is the restriction map.
+
 This module is the one place that reads how parts attach.  Each class
 records ``attach``, the neighbourhood of every copy (its node's quotient
 neighbours).  Each concrete component records the explicit neighbours of
@@ -33,7 +42,9 @@ at the core level ``infinite_tangles.end_catalogue`` (one end per concrete
 component and per copy of a ray-family class), ``critical_classes`` (the
 witnesses and ultrafilter classes), ``classify`` and ``tangle_from_limit``
 (the induced ultrafilter), ``topology.kernel`` and
-``blocks.infinite_blocks`` (dominators).
+``blocks.infinite_blocks`` (dominators); at any level, through ``locate``,
+``end_component``, ``induced_by_core``, ``restrict_ultrafilter`` and
+``principal_at_vertex``.
 
 A level is validated here and nowhere else: ``components()`` checks X on a
 cache miss, and a hit trusts only a level with int or str indices, since
@@ -73,6 +84,7 @@ class Concrete:
     # the explicit neighbours of its class and clique nodes, and those cliques
     near: tuple[Vertex, ...] = field(compare=False)
     cliques: tuple[str, ...] = field(compare=False)
+    nodes: tuple = field(compare=False)  # its quotient nodes, in walk order
 
 
 @dataclass(frozen=True)
@@ -88,6 +100,8 @@ class ComponentSet:
     removed: frozenset[Vertex]
     concretes: tuple[Concrete, ...]
     classes: tuple[FamilyClass, ...]
+    # node -> concrete locator, filled by the first ``locate``
+    _where: dict = field(default_factory=dict, compare=False, repr=False)
 
     # -- inspection --------------------------------------------------------
 
@@ -130,23 +144,32 @@ class ComponentSet:
             class_parts={self.classes[loc[1]].family: SemilinearSet.of(loc[2])}
         )
 
-    def locate(self, holds, copy: tuple[str, int] | None = None):
-        """The locator of the first component whose vertex set satisfies
-        ``holds``, among the concrete ones and the class member of the given
-        family copy; None if none does."""
-        locs = [("concrete", k) for k in range(len(self.concretes))]
-        if copy is not None and (cl := self.class_for(copy[0])) and copy[1] in cl.indices:
-            locs.append(("class", self.class_index(copy[0]), copy[1]))
-        return next((loc for loc in locs if holds(self.vertices(loc))), None)
+    def node(self, loc) -> tuple:
+        """A quotient node inside the component a locator names: a concrete's
+        first node, or the tail of a class member's copy."""
+        if loc[0] == "concrete":
+            return self.concretes[loc[1]].nodes[0]
+        return ("ftail", self.classes[loc[1]].family, loc[2])
 
-    def locate_vertex(self, v: Vertex):
-        """The locator of the component holding v."""
-        if v in self.removed:
-            raise ValueError(f"{v} was removed")
-        loc = self.locate(lambda vs: v in vs, v[1:3] if v[0] == "fam" else None)
-        if loc is None:
-            raise ValueError(f"{v} not found in any component")
-        return loc
+    def locate(self, x):
+        """The locator of the component holding ``x``: a vertex not removed,
+        or a quotient node of this level or of a finer one."""
+        if x in self.removed:
+            raise ValueError(f"{x} was removed")
+        where = self._where
+        if not where:
+            for k, c in enumerate(self.concretes):
+                where.update(dict.fromkeys(c.nodes, ("concrete", k)))
+        if x in where:  # a node of this level's concretes
+            return where[x]
+        if x[0] in ("ray", "cliq"):
+            return where[("rtail" if x[0] == "ray" else "crem", x[1])]
+        # a family vertex or a copy's tail
+        if (tail := ("ftail", x[1], x[2])) in where:
+            return where[tail]
+        if self.class_for(x[1]) is not None:
+            return ("class", self.class_index(x[1]), x[2])
+        return where[("fclass", x[1])]
 
     # -- selections --------------------------------------------------------
 
@@ -251,7 +274,7 @@ class ComponentSelection:
         return union_all(self.cs.schema, sets)
 
     def contains_component(self, loc) -> bool:
-        """Membership for a ``locate_vertex``-style component reference."""
+        """Whether the component a locator names is selected."""
         if loc[0] == "concrete":
             return self.concrete_flags[loc[1]]
         return loc[2] in self.class_parts[loc[1]]
@@ -451,7 +474,7 @@ def components(schema: SchemaGraph, X) -> ComponentSet:
             hubs = [n for n in comp if n[0] in ("fclass", "crem")]
             near = tuple({y for n in hubs for y in adj[n] if y not in parts})
             cliques = tuple(n[1] for n in hubs if n[0] == "crem")
-            concretes.append(Concrete(vs, near, cliques))
+            concretes.append(Concrete(vs, near, cliques, tuple(comp)))
 
     if len(concretes) > 1:
         concretes = _text_order(concretes)

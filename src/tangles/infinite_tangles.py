@@ -48,19 +48,6 @@ class End:
             return f"end:{self.names[0]}:{self.index}"
         return "end:" + "+".join(self.names)
 
-    @property
-    def copy(self) -> tuple[str, int] | None:
-        """The family copy a leg end runs along."""
-        return None if self.index is None else (self.names[0], self.index)
-
-    def lives_in(self, vs: SymVertexSet) -> bool:
-        """Whether the end lives in the vertex set: it holds a tail of the
-        end's rays, of its leg, or infinitely many clique vertices."""
-        if self.kind == "leg":
-            return self.index in vs.whole_set(self.names[0])
-        slot = vs.ray_set if self.kind == "rays" else vs.cliq_set
-        return slot(self.names[0]).is_infinite
-
 
 @dataclass(frozen=True)
 class EndCatalogue:
@@ -103,11 +90,11 @@ def leg_end(schema: SchemaGraph, family: str, index: int) -> End:
 
 
 def end_component(end: End, cs: ComponentSet):
-    """The component of (graph minus X) the end lives in, as a locator."""
-    loc = cs.locate(end.lives_in, end.copy)
-    if loc is None:
-        raise AssertionError(f"end {end.id()} lost")
-    return loc
+    """The component of (graph minus X) the end lives in, as a locator: the
+    one holding the tail of its first ray, of its leg, or of its clique."""
+    if end.kind == "leg":
+        return cs.locate(("ftail", end.names[0], end.index))
+    return cs.locate(("rtail" if end.kind == "rays" else "crem", end.names[0]))
 
 
 # -- tangles -------------------------------------------------------------------
@@ -243,7 +230,7 @@ def limit_from(schema: SchemaGraph, X, u: UltrafilterHandle) -> LimitFamily:
     gen = u.generator_vertices()
     if gen.is_finite:
         raise PrincipalInputError("no tangle induces a principal ultrafilter at a finite component")
-    end = _end_in(schema, gen)
+    end = _end_in(u.cs, u.gen)
     if end is not None:
         return limit_of_tangle(end_tangle(schema, end))
     # rayless infinite component: split it at the attachments of a class inside it
@@ -254,13 +241,14 @@ def limit_from(schema: SchemaGraph, X, u: UltrafilterHandle) -> LimitFamily:
     raise AssertionError("infinite rayless component without a critical class")
 
 
-def _end_in(schema: SchemaGraph, vs: SymVertexSet) -> End | None:
-    """Some end living inside the given component vertex set, if any: a
-    single end, else the leg of the least whole copy of a leg family."""
+def _end_in(cs: ComponentSet, loc) -> End | None:
+    """Some end living in the component a locator names, if any: a single
+    end, else the leg of the least whole copy of a leg family."""
+    schema, vs = cs.schema, cs.vertices(loc)
     cat = end_catalogue(schema)
     legs = [leg_end(schema, fam, vs.whole_set(fam).min_value())
             for fam in cat.leg_families if not vs.whole_set(fam).is_empty]
-    return next((e for e in (*cat.singles, *legs) if e.lives_in(vs)), None)
+    return next((e for e in (*cat.singles, *legs) if end_component(e, cs) == loc), None)
 
 
 def limit_of_tangle(tangle: Tangle) -> LimitFamily:
@@ -276,7 +264,7 @@ def tangle_from_limit(limit: LimitFamily) -> Tangle:
     if not u.is_principal:
         least = critical_class(schema, u.core.family).attach
         return uf_tangle_from_handle(restrict_ultrafilter(u, least))
-    end = _end_in(schema, u.generator_vertices())
+    end = _end_in(u.cs, u.gen)
     if end is None:
         raise AssertionError("limit family matches no tangle")
     return end_tangle(schema, end)
@@ -410,8 +398,9 @@ def infinite_star_probe(tangle: Tangle, level: frozenset, family: str) -> dict:
     """Evaluate the indexed infinite star that points away from each copy of
     the family class at the given level (one member absorbs the other
     components).  Reports whether the tangle contains all members (for a
-    uf tangle, the per-copy members of the first three copies) and whether
-    the members' far sides meet finitely."""
+    uf tangle, the per-copy members of the first three copies).  The far
+    sides of the members meet in the level alone, by construction, so the
+    star is infinite with a finite far side exactly when it is contained."""
     schema = tangle.schema
     cs = components(schema, level)
     cl = cs.class_for(family)
@@ -431,14 +420,11 @@ def infinite_star_probe(tangle: Tangle, level: frozenset, family: str) -> dict:
         contained = contained and not rest_copies.contains_component(
             end_component(tangle.end, cs)
         )
-    # copy i's member has all but copy i on its far side
-    far_side_finite = (sep0.toB - rest_copies).union_vertices().is_finite
     return {
         "level": sorted(map(vertex_text, level)),
         "family": family,
         "contained": contained,
-        "far_side_finite": far_side_finite,
-        "witnesses_infinite_star": contained and far_side_finite,
+        "witnesses_infinite_star": contained,
     }
 
 

@@ -129,9 +129,19 @@ def component_oracle(rng: random.Random, levels: int, sizes) -> dict:
     return {"checks": checks}
 
 
+def _holds_far_copies(u, family: str, Xp) -> bool:
+    """Whether u is principal at the component holding, by membership, a
+    copy of the family past every copy that Xp touches."""
+    f = u.schema.family_spec(family)
+    i = 1 + max((v[2] for v in Xp if v[:2] == ("fam", family)), default=-1)
+    v = ("fam", family, i, 0 if f.is_ray_family else f.pattern_vertices()[0])
+    return u.is_principal and v in u.generator_vertices()
+
+
 def inverse_system(rng: random.Random, chains: int, probes: int, pairs: int) -> dict:
-    """05: restriction is functorial, lift-then-restrict is the identity,
-    and a limit family is compatible with restriction."""
+    """05: restriction is functorial, lift-then-restrict is the identity (and,
+    below the witness, principal at the far copies), and a limit family is
+    compatible with restriction."""
     checks, counts = [], {"chains": 0, "probes": 0, "pairs": 0}
     for name in ("star", "spider", "twostars", "twohub", "comb"):
         schema = builtin.load(name)
@@ -154,9 +164,11 @@ def inverse_system(rng: random.Random, chains: int, probes: int, pairs: int) -> 
         u, bad = t.handle, 0
         for _ in range(probes):
             Xp = t.witness | random_level(schema, rng, 2)
-            back = restrict_ultrafilter(lift_ultrafilter(u, Xp), t.witness)
+            lifted = lift_ultrafilter(u, Xp)
+            back = restrict_ultrafilter(lifted, t.witness)
             sel = random_selection(u.cs, rng)
             bad += back.membership(sel) != u.membership(sel) or not handles_equivalent(back, u)
+            bad += not _holds_far_copies(restrict_ultrafilter(lifted, Xp - t.witness), u.core.family, Xp)
         counts["probes"] += probes
         checks.append(_record("ultrafilters/lift-then-restrict-identity", name, bad == 0))
     for name in LAZY_SCHEMAS:

@@ -89,29 +89,6 @@ class SymVertexSet:
         return cls(schema, frozenset(core), tuple(listed))
 
     @classmethod
-    def make(
-        cls,
-        schema: SchemaGraph,
-        core=(),
-        ray_pos=(),
-        cliq_idx=(),
-        fam_whole=(),
-        fam_plus=(),
-        fam_minus=(),
-    ) -> "SymVertexSet":
-        """Core vertices, ray positions, clique indices and whole family
-        copies by name, with the family vertices of ``fam_plus`` added and
-        those of ``fam_minus`` removed."""
-        plus, minus = frozenset(fam_plus), frozenset(fam_minus)
-        if plus & minus:
-            raise ValueError("fam_plus and fam_minus overlap")
-        slots = {("ray", n): s for n, s in dict(ray_pos).items()}
-        slots |= {("cliq", n): s for n, s in dict(cliq_idx).items()}
-        for n, s in dict(fam_whole).items():
-            slots |= dict.fromkeys(schema.family_slots[n], s)
-        return (cls._build(schema, core, slots) | cls.of(schema, plus)) - cls.of(schema, minus)
-
-    @classmethod
     def empty(cls, schema: SchemaGraph) -> "SymVertexSet":
         return cls(schema, frozenset(), ())
 
@@ -328,27 +305,6 @@ class SymVertexSet:
             elif key[0] != "leg" or key[2] < n:
                 out |= {_vertex(key, i) for i in s.elements_below(n)}
         return out
-
-    def some_vertex(self) -> Vertex:
-        """A deterministic representative element."""
-        if self.core:
-            return ("core", min(self.core))
-        plus, _ = self._exceptions
-        if plus:
-            return min(plus, key=vertex_sort_key)
-        for key, s in self.slots:
-            if key[0] == "ray":
-                return ("ray", key[1], s.min_value())
-        for n, w in self._wholes.items():
-            f = self.schema.family_spec(n)
-            i = w.min_value()
-            if not f.is_ray_family:
-                return ("fam", n, i, f.pattern_vertices()[0])
-            return ("fam", n, i, self._get(("leg", n, i)).min_value())
-        for key, s in self.slots:
-            if key[0] == "cliq":
-                return ("cliq", key[1], s.min_value())
-        raise ValueError("empty set")
 
     def _text_bits(self):
         """The space-separated bits of the text form, in order, built one at

@@ -15,6 +15,8 @@ survives, and is principal at the component holding cofinitely many
 copies where it does not.  That is the restriction of its lift to any
 finer level, so induced ultrafilters and limit families never build the
 finer level; ``lift_ultrafilter`` stays for the inverse-system checks.
+Restriction is by containment: a component at a finer level lies inside
+the one at the coarser level that ``ComponentSet.locate`` gives for its node.
 """
 
 from __future__ import annotations
@@ -124,7 +126,9 @@ def principal_at(cs: ComponentSet, loc) -> UltrafilterHandle:
 
 
 def principal_at_vertex(cs: ComponentSet, v: Vertex) -> UltrafilterHandle:
-    return principal_at(cs, cs.locate_vertex(v))
+    """The principal handle at the component holding a vertex of the schema."""
+    cs.schema.check_vertices((v,))
+    return principal_at(cs, cs.locate(v))
 
 
 def lazy_on(cs: ComponentSet, family: str | None = None) -> UltrafilterHandle:
@@ -147,24 +151,21 @@ def induced_by_core(cs: ComponentSet, core: LazyCore) -> UltrafilterHandle:
     """
     if cs.class_for(core.family) is not None:
         return UltrafilterHandle(cs, core=core)
-    loc = cs.locate(lambda vs: vs.full_copy_indices(core.family).is_infinite)
-    if loc is None:
-        raise AssertionError("concentration class vanished")
-    return principal_at(cs, loc)
+    return principal_at(cs, cs.locate(("fclass", core.family)))
 
 
 # -- the inverse system -----------------------------------------------------
 
 
 def restrict_ultrafilter(U: UltrafilterHandle, X) -> UltrafilterHandle:
-    """Push a handle at level X' down to a coarser level X (X inside X')."""
+    """Push a handle at level X' down to a coarser level X (X inside X'):
+    a principal handle to the component of X holding a node of its
+    generator, which holds the whole generator."""
     if not frozenset(X) <= U.level:
         raise ValueError("can only restrict to a subset of the current level")
     cs = components(U.schema, X)
     if U.is_principal:
-        gen_set = U.generator_vertices()
-        loc = cs.locate_vertex(gen_set.some_vertex())
-        return principal_at(cs, loc)
+        return principal_at(cs, cs.locate(U.cs.node(U.gen)))
     return induced_by_core(cs, U.core)
 
 

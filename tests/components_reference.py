@@ -3,6 +3,7 @@
 ``SymVertexSet.of`` of its explicit vertices united with its node sets,
 and the concretes always sorted by text.  No cache."""
 
+from symsets_reference import make_set
 from tangles.components import QUOTIENT_CAP, ComponentSet, Concrete, FamilyClass
 from tangles.semilinear import ResourceGuardError, SemilinearSet
 from tangles.schema import SchemaGraph, Vertex
@@ -13,14 +14,14 @@ _NAT = SemilinearSet.naturals()
 
 def ray_tail(schema: SchemaGraph, ray: str, from_pos: int) -> SymVertexSet:
     """The positions of a ray from ``from_pos`` on."""
-    return SymVertexSet.make(schema, ray_pos={ray: SemilinearSet.from_(from_pos)})
+    return make_set(schema, ray_pos={ray: SemilinearSet.from_(from_pos)})
 
 
 def copy_tail(schema: SchemaGraph, fam: str, copy: int, from_pos: int) -> SymVertexSet:
     """A ray-family copy minus its first ``from_pos`` positions."""
     if not schema.family_spec(fam).is_ray_family:
         raise ValueError(f"{fam} is not a ray family")
-    return SymVertexSet.make(
+    return make_set(
         schema,
         fam_whole={fam: SemilinearSet.of(copy)},
         fam_minus={("fam", fam, copy, p) for p in range(from_pos)},
@@ -180,7 +181,8 @@ def reference_components(schema: SchemaGraph, X) -> ComponentSet:
                 hubs = [n for n in parts if n[0] in ("fclass", "crem")]
                 near = tuple({y[1] for n in hubs for y in adj[n] if y[0] == "v"})
                 cliques = tuple(n[1] for n in hubs if n[0] == "crem")
-                concretes.append(Concrete(vs, near, cliques))
+                nodes = tuple(n[1] if n[0] == "v" else n for n in comp)
+                concretes.append(Concrete(vs, near, cliques, nodes))
 
     concretes.sort(key=lambda c: c.vertices.text())
     classes.sort(key=lambda c: c.family)

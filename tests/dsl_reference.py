@@ -3,6 +3,7 @@ an independent reference for the connectivity check, the end catalogue,
 the infinite blocks, the witnesses, ultrafilter classes and kernels that
 the engine reads from the component quotient."""
 
+from symsets_reference import make_set
 from tangles.graphs import FiniteGraph
 from tangles.infinite_tangles import End, EndCatalogue
 from tangles.schema import SchemaGraph, vertex_sort_key, vertex_text
@@ -59,7 +60,7 @@ def end_catalogue(schema: SchemaGraph) -> EndCatalogue:
 def clique_block(schema: SchemaGraph, clique: str) -> SymVertexSet:
     """A clique together with its attached cores, which meet every clique
     vertex and so cannot be cut off from it."""
-    return SymVertexSet.make(
+    return make_set(
         schema,
         core=frozenset(schema.clique_spec(clique).attach),
         cliq_idx={clique: SemilinearSet.naturals()},
@@ -113,4 +114,4 @@ def kernel(tangle) -> SymVertexSet:
         if any(rn in end.names for rn in schema.aligned_rays(f))
         for c, _ in f.core_attach
     }
-    return SymVertexSet.make(schema, core=cores)
+    return make_set(schema, core=cores)

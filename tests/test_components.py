@@ -1,3 +1,4 @@
+import random
 import re
 import sys
 import time
@@ -7,21 +8,24 @@ import pytest
 from components_reference import reference_components
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from symsets_reference import make_set
 from test_schema import _built_schema_texts
 from test_symsets import MIXED
 
 from tangles.builtin import builtin_names, load, schema_text
 from tangles.components import ComponentSelection, components
 from tangles.graphs import FiniteGraph, GraphParseError, path_graph
-from tangles.infinite_tangles import induced_ultrafilter, limit_from, limit_of_tangle, suite_tangles
+from tangles.infinite_tangles import (
+    end_catalogue, end_component, induced_ultrafilter, leg_end, limit_from, limit_of_tangle, suite_tangles,
+)
 from tangles.sampling import random_level, random_selection
-from tangles.schema import RaySpec, SchemaGraph, parse_schema, vertex_text
+from tangles.schema import RaySpec, SchemaGraph, parse_schema, vertex_sort_key, vertex_text
 from tangles.semilinear import SemilinearSet
 from tangles.separations import from_bipartition
 from tangles.suite import symbolic_components_below, truncation_components
 from tangles.symsets import SymVertexSet
 from tangles.topology import basic_open
-from tangles.ultrafilters import lift_ultrafilter, restrict_ultrafilter
+from tangles.ultrafilters import lift_ultrafilter, principal_at, restrict_ultrafilter
 
 
 def test_path_middle_vertex():
@@ -88,16 +92,16 @@ def test_locate_vertex_and_partition_by(schemas):
     spider = schemas["spider"]
     X = frozenset({("core", "c")})
     cs = components(spider, X)
-    kind, k, i = cs.locate_vertex(("fam", "L", 5, 2))
+    kind, k, i = cs.locate(("fam", "L", 5, 2))
     assert (kind, i) == ("class", 5)
     evens = SemilinearSet.progression(0, 2)
     sel = cs.partition_by(SymVertexSet.whole_copies(spider, "L", evens))
     assert sel == cs.selection(class_parts={"L": evens})
     with pytest.raises(ValueError):
-        cs.locate_vertex(("core", "c"))
+        cs.locate(("core", "c"))
     # a cut leg's tail is a concrete component, not a class member
     cut = components(spider, X | {("fam", "L", 3, 0)})
-    loc = cut.locate_vertex(("fam", "L", 3, 2))
+    loc = cut.locate(("fam", "L", 3, 2))
     assert loc[0] == "concrete" and ("fam", "L", 3, 2) in cut.vertices(loc)
 
 
@@ -184,11 +188,9 @@ def test_oracle_on_adversarial_schemas(name, rng):
 
 
 def test_partition_by_rejects_straddling(schemas):
-    from tangles.symsets import SymVertexSet
-
     star = schemas["star"]
     cs = components(star, frozenset())
-    half = SymVertexSet.make(star, core=frozenset("c"))
+    half = make_set(star, core=frozenset("c"))
     with pytest.raises(ValueError, match="straddles"):
         cs.partition_by(half)
 
@@ -211,7 +213,7 @@ def test_attachments_and_dominators(schemas):
     assert cs.dominators(("concrete", 0)) == SymVertexSet.of(star, [("core", "c")])
     # the hub reaches infinitely many teeth, which a deleted spine prefix leaves alone
     cs = components(fan, {("core", "c"), ("ray", "R", 2)})
-    k = cs.locate(lambda vs: vs.ray_set("R").is_infinite)
+    k = cs.locate(("ray", "R", 10))
     assert cs.dominators(k) == SymVertexSet.of(fan, [("core", "c")])
     # a deleted clique vertex still sees all of the rest
     cs = components(cliq, {("cliq", "K", 0)})
@@ -359,7 +361,8 @@ def levels(draw, schemas=st.sampled_from(sorted(REFERENCE_SCHEMAS)).map(REFERENC
 def _shape(cs):
     return (
         cs.removed,
-        [(c.vertices, c.vertices.text(), frozenset(c.near), c.cliques) for c in cs.concretes],
+        [(c.vertices, c.vertices.text(), frozenset(c.near), c.cliques, frozenset(c.nodes))
+         for c in cs.concretes],
         [(c.family, c.indices, c.attach) for c in cs.classes],
     )
 
@@ -376,6 +379,70 @@ def test_components_match_the_reference_builder(level):
 def test_components_match_the_reference_builder_on_built_schemas(level):
     schema, X = level
     assert _shape(components(schema, X)) == _shape(reference_components(schema, X))
+
+
+def _held_by(cs, holds, copy=None):
+    """The first component, of the concretes and the class member of the
+    given family copy, whose vertex set satisfies ``holds``: placement by
+    membership, without the quotient nodes."""
+    locs = [("concrete", k) for k in range(len(cs.concretes))]
+    if copy is not None and (cl := cs.class_for(copy[0])) is not None and copy[1] in cl.indices:
+        locs.append(("class", cs.class_index(copy[0]), copy[1]))
+    return next(loc for loc in locs if holds(cs.vertices(loc)))
+
+
+def _vertex_held_by(cs, v):
+    return _held_by(cs, lambda vs: v in vs, v[1:3] if v[0] == "fam" else None)
+
+
+def _end_lives_in(end, vs):
+    """A tail of the end's rays, of its leg, or infinitely many clique vertices lie in vs."""
+    if end.kind == "leg":
+        return end.index in vs.whole_set(end.names[0])
+    slot = vs.ray_set if end.kind == "rays" else vs.cliq_set
+    return slot(end.names[0]).is_infinite
+
+
+def _some_vertex(vs):
+    """Any vertex of a non-empty set: the least one of its shallowest layer."""
+    n = 8
+    while not (below := vs.explicit_below(n)):
+        n *= 2
+    return min(below, key=vertex_sort_key)
+
+
+def _check_placements(schema, rng):
+    """Vertices, ends and restricted principal handles land where the
+    membership reference places them, at a few random levels."""
+    cat = end_catalogue(schema)
+    ends = [*cat.singles, *(leg_end(schema, f, i) for f in cat.leg_families for i in range(6))]
+    for _ in range(4):
+        X = random_level(schema, rng, 3)
+        cs = components(schema, X)
+        for v in schema.vertices_below(7):
+            if v not in X:
+                assert cs.locate(v) == _vertex_held_by(cs, v), (vertex_text(v), X)
+        for e in ends:
+            copy = (e.names[0], e.index) if e.kind == "leg" else None
+            assert end_component(e, cs) == _held_by(cs, lambda vs: _end_lives_in(e, vs), copy)
+        csp = components(schema, X | random_level(schema, rng, 2))
+        gens = [("concrete", k) for k in range(len(csp.concretes))]
+        gens += [("class", k, cl.indices.min_value()) for k, cl in enumerate(csp.classes)]
+        for gen in gens:
+            down = restrict_ultrafilter(principal_at(csp, gen), X)
+            v = _some_vertex(csp.vertices(gen))
+            assert down.is_principal and down.gen == _vertex_held_by(cs, v)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_placements_match_membership(name):
+    _check_placements(load(name), random.Random(f"placements {name}"))
+
+
+@given(BUILT_SCHEMAS, st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_placements_match_membership_on_built_schemas(schema, rng):
+    _check_placements(schema, rng)
 
 
 def test_perfbench_pinned_query_digest():

@@ -131,7 +131,8 @@ def _lift_then_restrict(U, X):
     cs = components(schema, X)
     if cs.class_for(core.family) is not None:
         return UltrafilterHandle(cs, core=core)
-    loc = cs.locate(lambda vs: vs.full_copy_indices(core.family).is_infinite)
+    loc = next(("concrete", k) for k, c in enumerate(cs.concretes)
+               if c.vertices.full_copy_indices(core.family).is_infinite)
     return principal_at(cs, loc)
 
 
@@ -405,12 +406,25 @@ def test_axiom_check_clean_on_suite(schemas, rng):
             assert rep["ok"], (name, t.id(), rep["findings"][:2])
 
 
+def _probe_far_side(schema, level, family):
+    """The meet of the B-sides of the probe's members: the absorbing member's
+    and, for every copy past the first, that of the member pointing away
+    from the copy, which together leave out all of those copies."""
+    cs = components(schema, level)
+    cl = cs.class_for(family)
+    rest = cs.selection(class_parts={family: cl.indices - SemilinearSet.of(cl.indices.min_value())})
+    absorbing = from_bipartition(schema, level, rest)
+    return absorbing.side_B & from_bipartition(schema, level, rest.complement()).side_B
+
+
 def test_uf_tangles_contain_an_infinite_star_with_finite_far_side(schemas):
     for name in ("star", "spider"):
         schema = schemas[name]
         t = uf_tangle(schema)
-        probe = infinite_star_probe(t, minimal_witness(t), t.handle.core.family)
-        assert probe["contained"] and probe["far_side_finite"]
+        level, family = minimal_witness(t), t.handle.core.family
+        probe = infinite_star_probe(t, level, family)
+        assert probe["contained"] and probe["witnesses_infinite_star"]
+        assert _probe_far_side(schema, level, family).is_finite
 
 
 def test_infinite_star_probe_orients_per_copy_members(schemas, monkeypatch):
@@ -425,7 +439,7 @@ def test_infinite_star_probe_orients_per_copy_members(schemas, monkeypatch):
     monkeypatch.setattr(it, "in_tangle", lambda t, sep: real(t, sep) and copy1.issubset(sep.side_B))
     probe = infinite_star_probe(t, level, "L")
     assert not probe["contained"] and not probe["witnesses_infinite_star"]
-    assert probe["far_side_finite"]
+    assert _probe_far_side(star, level, "L").is_finite
 
 
 def test_end_tangles_contain_no_infinite_star_probe(schemas):

@@ -256,7 +256,8 @@ def test_same_level_algebra_matches_the_sides(schemas, name):
                 rest = cl.indices - SemilinearSet.of(cl.indices.min_value())
                 rest_copies = cs.selection(class_parts={cl.family: rest})
                 far = reference_sides(from_bipartition(schema, level, rest_copies))[1]
-                assert probe["far_side_finite"] == (far - rest_copies.union_vertices()).is_finite
+                assert (far - rest_copies.union_vertices()).is_finite
+                assert probe["witnesses_infinite_star"] == probe["contained"]
 
 
 @pytest.mark.parametrize("name", SUITE + EXTRAS)

