@@ -9,10 +9,10 @@ vertices (Carmesin-Diestel-Hamann-Hundertmark, arXiv:1305.4557).
 
 Both steps run on the graph's vertex positions (``FiniteGraph.numbered``).
 The paths are counted by at most k breadth-first augmentations over the
-vertex-split states (w in, w out), with the flow kept as one set of
-flow-carrying edge arcs; the blocks are the maximal cliques of the
-inseparability relation, found by a pivoted Bron-Kerbosch over int
-neighbourhood masks.
+vertex-split states (w in, w out), on position arrays: the flow is one
+feeder position per vertex and the search tree one parent list over the
+states; the blocks are the maximal cliques of the inseparability relation,
+found by a pivoted Bron-Kerbosch over int neighbourhood masks.
 """
 
 from __future__ import annotations
@@ -38,44 +38,51 @@ def _disjoint_paths(g: FiniteGraph, u: str, v: str, k: int) -> int:
     """Internally disjoint paths between nonadjacent u and v, counted up to k.
 
     State 2w is w's in-copy and 2w+1 its out-copy; an inner vertex passes
-    one unit from in to out.  ``flow`` holds the arcs (x, y), x out to y in,
-    that carry a unit, so an inner vertex y is in use exactly when one of
-    them enters it.  The residual moves are: out x to in y along an unused
-    arc, back from in y to out x along a used one, in w to out w when w is
-    free, and back from out w to in w when it is in use.
+    one unit from in to out.  The flow is kept per position: ``into[y]`` is
+    the x whose arc x out to y in carries a unit, or -1 when y is free, so
+    the arc (x, y) is in use exactly when into[y] == x.  The residual moves
+    are: out x to in y along an unused arc, back from in y to out x along a
+    used one, in w to out w when w is free, and back from out w to in w when
+    it is in use.  Arcs into t need no record: the out-copy of a vertex
+    feeding t could be reached only back from t's in-copy, and reaching
+    that ends the search.
     """
     _, index, nbrs = g.numbered
     s, t = index[u], index[v]
-    flow: set[tuple[int, int]] = set()
+    start, goal = 2 * s + 1, 2 * t
+    into = [-1] * len(nbrs)
     for found in range(k):
-        into = {y: x for x, y in flow}  # the feeder of each inner vertex in use
-        parent = {2 * s + 1: None}
-        queue = deque(parent)
-        while queue and 2 * t not in parent:
+        parent = [-1] * (2 * len(nbrs))  # the state each state was reached from
+        parent[start] = parent[2 * s] = start  # no move enters s
+        queue = deque([start])
+        while queue and parent[goal] < 0:
             state = queue.popleft()
             w = state >> 1
             if state & 1:
-                steps = [2 * y for y in nbrs[w] if y != s and (w, y) not in flow]
-                if w in into:
-                    steps.append(2 * w)
+                for y in nbrs[w]:
+                    if into[y] != w and parent[2 * y] < 0:
+                        parent[2 * y] = state
+                        queue.append(2 * y)
+                if into[w] >= 0 and parent[2 * w] < 0:
+                    parent[2 * w] = state
+                    queue.append(2 * w)
             else:
-                x = into.get(w)
-                steps = (2 * w + 1 if x is None else 2 * x + 1,)
-            for nxt in steps:
-                if nxt not in parent:
+                x = into[w]
+                nxt = 2 * w + 1 if x < 0 else 2 * x + 1
+                if parent[nxt] < 0:
                     parent[nxt] = state
                     queue.append(nxt)
-        if 2 * t not in parent:
+        if parent[goal] < 0:
             return found
-        state = 2 * t
-        while parent[state] is not None:
+        state = goal
+        while state != start:
             prev = parent[state]
             x, y = prev >> 1, state >> 1
-            if x != y:  # an edge arc: used forward, or its unit cancelled
-                if prev & 1:
-                    flow.add((x, y))
-                else:
-                    flow.remove((y, x))
+            if x != y:  # an edge arc
+                if not prev & 1:  # back along the arc (y, x): its unit is cancelled
+                    into[x] = -1
+                elif y != t:  # forward along the arc (x, y): it carries a unit
+                    into[y] = x
             state = prev
     return k
 

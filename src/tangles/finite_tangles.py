@@ -32,9 +32,17 @@ filters first.  It reads per oriented separation a row of the ids pointing
 towards it and a row of those inconsistent with it, both taken from one
 relation down[x] = {y <= x}; it refuses o when C meets o's inconsistent row,
 and otherwise looks for covers only among the members of C that point towards
-o, a third member also pointing towards the second.  The guard counts ANDs,
-the row build included; one costs about 0.5-0.7 us in CPython 3.11 on
-graphs with up to ~10^4 oriented separations.
+o, a third member also pointing towards the second.
+
+Both searches keep, per depth, the width of the chosen set: the most bits of
+any chosen A-side.  One or two members cover at most twice that many, so o
+is accepted without a cover search when it misses more.  On a grid most
+separations are (X, V), and their small sides X miss nearly everything.
+The verifier ``full_cover_free`` likewise answers at once when its three
+widest masks hold fewer bits than the graph.  Both bounds only skip ANDs
+that would find nothing.  The guard counts ANDs, the row build included,
+and the verifier's pair unions and triple tests; one costs about 0.5-0.7 us
+in CPython 3.11 on graphs with up to ~10^4 oriented separations.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from itertools import combinations, product, takewhile
 from .graphs import FiniteGraph, bit_ids
 from .semilinear import ResourceGuardError
 
-DEFAULT_GUARD = 2**23  # ANDs per search, about 0.5-0.7 us each
+DEFAULT_GUARD = 2**23  # ANDs, unions and triple tests per search, about 0.5-0.7 us each
 MAX_COMPONENTS = 20  # components behind one separator; 2**20 bipartitions
 
 OrientedPair = tuple[frozenset, frozenset]
@@ -230,12 +238,16 @@ class _Search:
     # each chain.  With a call of ``above`` per chain the searches of the
     # benchmark's finite instances took about a third longer (CPython 3.11).
 
-    def refused(self, C: int, o: int, star: bool) -> bool:
+    def refused(self, C: int, o: int, star: bool, width: int | None = None) -> bool:
         """o covers the graph alone or with one or two members of the chosen
         bitset C.  In a star search (``star``) o is also refused when it is
         inconsistent with a member of C, and the covering members must point
         towards each other and o.  In a tangle search consistency is implied,
-        since inv(x) <= y makes A_x | A_y contain A_x | B_x = V."""
+        since inv(x) <= y makes A_x | A_y contain A_x | B_x = V.
+
+        ``width``, when given, is the most set bits of a member of C: one or
+        two members hold at most twice that many, so o is not refused by a
+        cover when it misses more."""
         a, holders, guard = self.a, self.holders, self.guard
         miss = self.full ^ a[o]
         if star:
@@ -246,6 +258,8 @@ class _Search:
             C &= tow[o]
         if not miss:
             return True
+        if width is not None and miss.bit_count() > 2 * width:
+            return False
         spent = self.spent
         if star:  # one member completing o's cover
             m, W = miss, C
@@ -284,41 +298,65 @@ class _Search:
 
     def search(self, star_only: bool, guard: int = DEFAULT_GUARD):
         """DFS over orientations, refusing choices that complete a forbidden
-        cover; the chosen ids are also kept as one bitset C."""
+        cover; the chosen ids are also kept as one bitset C.  ``widths[d]`` is
+        the most set bits of the first d chosen A-sides, the width bound of
+        :meth:`refused` at depth d."""
         self.guard, self.spent = guard, 0
         if star_only:
             self.rows  # built, and counted, before the first choice
-        n = len(self.seps)
+        a, n = self.a, len(self.seps)
         levels = self.base + [()]  # the empty level closes a full orientation
         chosen: list[int] = []
         C = 0
         stack = [iter(levels[0])]
+        widths = [0]
         while stack:
             o = next(stack[-1], None)
             if o is None:
                 stack.pop()
+                widths.pop()
                 if chosen:
                     C ^= 1 << chosen.pop()
                 continue
-            if self.refused(C, o, star_only):
+            if self.refused(C, o, star_only, widths[-1]):
                 continue
             chosen.append(o)
             C |= 1 << o
             if len(chosen) == n:
                 yield tuple(chosen)
             stack.append(iter(levels[len(chosen)]))
+            widths.append(max(widths[-1], a[o].bit_count()))
 
     def to_pairs(self, chosen) -> frozenset:
         return frozenset(self.oriented[o] for o in chosen)
 
     def full_cover_free(self, chosen) -> bool:
-        """Exact covering-multiset check over all triples; a pair union cannot
-        be completed by any mask when it misses more bits than the largest has."""
-        full = self.full
-        masks = {self.a[o] for o in chosen}
-        pairs = {x | y for x, y in combinations(masks, 2)} | masks
-        short = full.bit_length() - max(x.bit_count() for x in masks)
-        return not any(p | x == full for p in pairs if p.bit_count() >= short for x in masks)
+        """Exact covering-multiset check over all triples.  No triple covers
+        when the three widest masks together hold fewer bits than the graph,
+        and a pair union cannot be completed by any mask when it misses more
+        bits than the widest has.  Each pair union and each triple test is one
+        unit of the running search's guard."""
+        full, total = self.full, self.full.bit_length()
+        masks = sorted({self.a[o] for o in chosen}, key=int.bit_count, reverse=True)
+        if sum(x.bit_count() for x in masks[:3]) < total:
+            return True
+
+        def charge(units: int) -> None:
+            self.spent += units
+            if self.spent > self.guard:
+                raise ResourceGuardError("cover verification exceeded guard")
+
+        pairs = set(masks)
+        for i, x in enumerate(masks):
+            charge(len(masks) - 1 - i)
+            pairs.update(x | y for y in masks[i + 1:])
+        short = total - masks[0].bit_count()
+        for p in pairs:
+            if p.bit_count() >= short:
+                charge(len(masks))
+                if any(p | x == full for x in masks):
+                    return False
+        return True
 
 
 def enumerate_tangles(g, k: int, guard: int = DEFAULT_GUARD) -> list[frozenset]:

@@ -1,11 +1,12 @@
 """The finite oracle's separations as plain vertex sets: the reference for
-``finite_tangles._separation_masks`` and for the masks ``_Search`` builds.
+``finite_tangles._separation_masks`` and for the masks ``_Search`` builds;
+and the plain triple scan, the reference for ``_Search.full_cover_free``.
 
 One separation per separator X and bipartition of the components of G - X,
 deduplicated in a set and sorted on (size, sorted names) keys, as the oracle
 generated them before it worked on vertex masks."""
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 
 def _key(s: frozenset) -> tuple:
@@ -47,3 +48,9 @@ def side_masks(g, seps) -> list[int]:
     for A, B in seps:
         out += [mask(A)] if A == B else [mask(A), mask(B)]
     return out
+
+
+def cover_free(masks, full: int) -> bool:
+    """No multiset of at most three of the masks has union ``full``: every
+    triple of them, repetitions included, scanned without a bound."""
+    return not any(x | y | z == full for x, y, z in combinations_with_replacement(set(masks), 3))

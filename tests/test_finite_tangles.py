@@ -1,14 +1,16 @@
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
 
 import pytest
-from finite_reference import side_masks
+from finite_reference import cover_free, side_masks
 from finite_reference import separations_below_order as reference_separations
 
 from tangles.finite_tangles import (
+    DEFAULT_GUARD,
     ResourceGuardError,
     _Search,
     check_join_closure,
@@ -176,6 +178,26 @@ def test_grid_4x4_order_4():
     assert check_star_reduction(g, 4)["ok"]
 
 
+def test_grid_6x6_order_4():
+    # 7,971 separations: the width bound answers this under the default guard
+    g = grid_graph(6, 6)
+    assert count_tangles(g, 4) == 1
+    assert check_star_reduction(g, 4)["ok"]
+
+
+def test_star_check_guard_counts_the_verifier():
+    # the star search of K1,12 at order 2 reaches an orientation well within
+    # the default guard; the triple scan of its 2,061 members does not
+    star = from_edges([("c", f"l{i}") for i in range(12)])
+    s = _Search(star, 2)
+    chosen = next(s.search(star_only=True))
+    assert s.spent < DEFAULT_GUARD // 2
+    with pytest.raises(ResourceGuardError, match="cover verification"):
+        s.full_cover_free(chosen)
+    with pytest.raises(ResourceGuardError, match="cover verification"):
+        check_star_reduction(star, 2)
+
+
 def toward(s, x, y) -> bool:
     """Reference for the search's rows: oriented separation x points towards
     y when A_x lies in B_y and A_y in B_x (symmetric)."""
@@ -263,19 +285,25 @@ def test_atlas_digest_is_pinned():
 
 class _Chained(_Search):
     """The refusal tests as calls of ``above``: the reference for the AND
-    chains the searches write out."""
+    chains the searches write out, behind the same width bound."""
 
-    def tangle_refused(self, C, o):
+    def tangle_refused(self, C, o, width):
         a, above = self.a, self.above
         miss = self.full ^ a[o]
+        if miss and miss.bit_count() > 2 * width:
+            return False
         return not miss or any(above(miss & ~a[c], C) for c in bit_ids(above(miss & -miss, C)))
 
-    def star_refused(self, C, o):
+    def star_refused(self, C, o, width):
         a, above = self.a, self.above
         tow, inc = self.rows
         miss, S = self.full ^ a[o], tow[o] & C
         self.spent += 2
-        if inc[o] & C or not miss or above(miss, S):
+        if inc[o] & C or not miss:
+            return True
+        if miss.bit_count() > 2 * width:
+            return False
+        if above(miss, S):
             return True
         for c in bit_ids(above(miss & -miss, S)):
             self.spent += 1
@@ -283,8 +311,8 @@ class _Chained(_Search):
                 return True
         return False
 
-    def refused(self, C, o, star):
-        return self.star_refused(C, o) if star else self.tangle_refused(C, o)
+    def refused(self, C, o, star, width):
+        return self.star_refused(C, o, width) if star else self.tangle_refused(C, o, width)
 
 
 def _until_guard(s, star_only, guard):
@@ -344,3 +372,63 @@ def test_consistency_of_enumerated_tangles():
         members = set(t)
         for A, B in members:
             assert (B, A) not in members or A == B
+
+
+def _gnp_graphs(count: int, sizes: range, p: float):
+    import networkx as nx
+
+    out = []
+    for seed in range(count):
+        G = nx.gnp_random_graph(sizes[seed % len(sizes)], p, seed=seed)
+        out.append(FiniteGraph(
+            frozenset(f"v{x}" for x in G.nodes),
+            frozenset(tuple(sorted((f"v{x}", f"v{y}"))) for x, y in G.edges),
+        ))
+    return out
+
+
+def test_width_bound_changes_no_search():
+    # every connected graph of at most 7 vertices and 120 G(n, 0.4) draws on
+    # 6-11 vertices, at k = 1..4: the searches yield the same orientations in
+    # the same order when refused is given no width
+    cases = connected_graphs_up_to(7) + _gnp_graphs(120, range(6, 12), 0.4)
+    assert len(cases) == 853 + 143 + 120
+    skipped = 0
+    for g in cases:
+        for k in (1, 2, 3, 4):
+            s = _Search(g, k)
+            for star_only in (False, True):
+                bounded = list(s.search(star_only))
+                spent = s.spent
+                s.refused = lambda C, o, star, width: _Search.refused(s, C, o, star)
+                assert list(s.search(star_only)) == bounded, (g.digest(), k, star_only)
+                skipped += s.spent > spent
+                del s.refused
+    assert skipped > 4 * len(cases)  # the bound spares ANDs in most searches
+
+
+def test_cover_verifier_bound_matches_the_scan():
+    # random orientations, most of them covering; orientations of mostly
+    # small sides, some of whose covers need three sides; and the cover-free
+    # ones the star search finds, some of which the bound decides alone
+    rng = random.Random(11)
+    kinds, narrow_covers = set(), 0
+    graphs = [(g, k) for g in _gnp_graphs(40, range(4, 9), 0.45) for k in (2, 3)]
+    graphs += [(grid_graph(3, 4), 3), (_petersen(), 4), (cycle_graph(6), 3)]
+    for g, k in graphs:
+        s = _Search(g, k)
+        orientations = [tuple(rng.choice(b) for b in s.base) for _ in range(10)]
+        orientations += [
+            tuple(b[-1] if rng.random() < 0.1 else b[0] for b in s.base) for _ in range(10)
+        ]
+        orientations += list(s.search(star_only=True))
+        for chosen in orientations:
+            masks = [s.a[o] for o in chosen]
+            spent = s.spent
+            free = s.full_cover_free(chosen)
+            assert free == cover_free(masks, s.full), (g.digest(), k, chosen)
+            kinds.add((free, s.spent > spent))
+            widest = sorted(m.bit_count() for m in set(masks))[-2:]
+            narrow_covers += not free and sum(widest) < s.full.bit_length()
+    assert kinds == {(False, True), (True, False), (True, True)}
+    assert narrow_covers
